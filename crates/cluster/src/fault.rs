@@ -518,8 +518,16 @@ pub fn resolve_faults(
     // copy; the first finisher wins and the loser's work is wasted.
     if recovery.speculation {
         let threshold = recovery.speculation_threshold;
+        // `effective[..i]` in ascending order, grown by one insertion per
+        // task so the phase never re-sorts a prefix.
+        let mut finished: Vec<f64> = Vec::with_capacity(effective.len());
         for i in 1..effective.len() {
-            let median = median(&effective[..i]);
+            let done = effective[i - 1];
+            finished.insert(
+                finished.partition_point(|x| x.total_cmp(&done).is_lt()),
+                done,
+            );
+            let median = sorted_median(&finished);
             if median <= 0.0 || effective[i] <= threshold * median {
                 continue;
             }
@@ -595,10 +603,9 @@ pub fn resolve_faults(
     })
 }
 
-/// Median of a non-empty slice (mean of the middle pair when even).
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+/// Median of a non-empty, ascending slice (mean of the middle pair when
+/// even).
+fn sorted_median(sorted: &[f64]) -> f64 {
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {
         sorted[mid]
@@ -610,6 +617,101 @@ fn median(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The prefix-sort median the running buffer replaced, kept verbatim
+    /// as the equivalence oracle.
+    fn median(values: &[f64]) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            0.5 * (sorted[mid - 1] + sorted[mid])
+        }
+    }
+
+    /// The speculation phase as it read before the running median:
+    /// applied to a speculation-free outcome (the phase draws no
+    /// randomness, so the RNG stream up to it is the same) it must
+    /// reproduce `resolve_faults` with speculation on.
+    fn prefix_sort_speculation(mut out: FaultOutcome, threshold: f64) -> FaultOutcome {
+        let effective = &mut out.durations;
+        for i in 1..effective.len() {
+            let median = median(&effective[..i]);
+            if median <= 0.0 || effective[i] <= threshold * median {
+                continue;
+            }
+            let launch = threshold * median;
+            let backup_finish = launch + median;
+            out.summary.speculative_launches += 1;
+            out.attempts[i] += 1;
+            let backup_won = backup_finish < effective[i];
+            let wasted = if backup_won {
+                effective[i] = backup_finish;
+                backup_finish
+            } else {
+                effective[i] - launch
+            };
+            out.summary.speculation_wasted_s += wasted;
+            if backup_won {
+                out.summary.speculative_wins += 1;
+            }
+            out.summary.events.push(RecoveryEvent {
+                task: i as u32,
+                kind: RecoveryEventKind::Speculated {
+                    backup_won,
+                    wasted_s: wasted,
+                },
+            });
+        }
+        out.summary.attempts = out.attempts.iter().sum();
+        out
+    }
+
+    /// A task duration of one of four shapes: zero, a few tied values,
+    /// uniform, or a Pareto(1.1) heavy tail.
+    fn shaped_duration((shape, u): (u32, f64)) -> f64 {
+        match shape {
+            0 => 0.0,
+            1 | 2 => [1.0, 2.0, 3.0][(u * 3.0) as usize],
+            3..=5 => 10.0 * u,
+            _ => (1.0 - u).powf(-1.0 / 1.1),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The running median changes no output bit: durations, attempts
+        /// and the whole summary, event order included, match the
+        /// prefix-sort median's. `Debug` prints every `f64` as its
+        /// shortest round-trip form, so equal text means equal bits.
+        #[test]
+        fn running_median_matches_prefix_sort(
+            tasks in prop::collection::vec((0u32..8, 0.0f64..1.0), 0..160),
+            fail_prob in 0.0f64..0.3,
+            crash_prob in 0.0f64..0.3,
+            executors in 1usize..12,
+            threshold in 1.0f64..3.0,
+            seed in any::<u64>(),
+        ) {
+            let durations: Vec<f64> = tasks.into_iter().map(shaped_duration).collect();
+            let mut faults = FaultModel::flaky(fail_prob);
+            faults.node_crash_prob = crash_prob;
+            let mut recovery = RecoveryPolicy::hadoop_like();
+            recovery.max_attempts = 64;
+            recovery.speculation_threshold = threshold;
+            let resolve = |recovery: &RecoveryPolicy| {
+                let mut rng = SimRng::seed_from(seed);
+                resolve_faults(&durations, executors, &faults, recovery, &mut rng)
+            };
+            let oracle = resolve(&recovery).map(|out| prefix_sort_speculation(out, threshold));
+            let running = resolve(&recovery.with_speculation());
+            prop_assert_eq!(format!("{running:?}"), format!("{oracle:?}"));
+        }
+    }
 
     fn durations(n: usize) -> Vec<f64> {
         (0..n).map(|i| 8.0 + (i % 3) as f64).collect()

@@ -6,8 +6,10 @@
 //! 1. **Sample** (sequential): per-stage straggler draws and fault
 //!    resolution, in stage order, so the RNG stream — and therefore
 //!    every output byte — is independent of host threading;
-//! 2. **Schedule** (parallel wave over stages via
-//!    [`ipso_sim::par::ordered_map_indexed`]): the actual wave schedule
+//! 2. **Schedule** (per stage, via [`ipso_sim::par::ordered_map_indexed`],
+//!    which fans the stages out over the host threads only when the
+//!    first stage's wall time says the rest outweigh the fork-join, and
+//!    otherwise stays on the calling thread): the actual wave schedule
 //!    under the configured [`SchedulerPolicy`], the idealized reference
 //!    ([`IdealReference`]) and, when requested and observability is on,
 //!    the no-straggler reference — all instrumentation captured
@@ -203,8 +205,9 @@ struct StageSample {
 /// per-task straggler multipliers (in task order), then, when the fault
 /// model is enabled, [`resolve_faults`] — exactly the draw order the
 /// engines used before the runtime existed, so seeded streams are
-/// preserved byte for byte. Phase 2 computes every stage's schedules as
-/// a parallel wave with instrumentation captured per stage.
+/// preserved byte for byte. Phase 2 computes every stage's schedules,
+/// fanned out over the host threads when the work pays for it, with
+/// instrumentation captured per stage.
 ///
 /// # Errors
 ///
@@ -284,8 +287,9 @@ pub fn execute(
         });
     }
 
-    // Phase 2 — schedule, as a parallel wave over stages. Instrumentation
-    // is captured per stage and handed to the caller for in-order merge.
+    // Phase 2 — schedule, fanned out over stages past the grain.
+    // Instrumentation is captured per stage and handed to the caller for
+    // in-order merge.
     let mut outcomes: Vec<StageOutcome> =
         ipso_sim::par::ordered_map_indexed(config.threads, graph.stages.len(), |k| {
             let stage = &graph.stages[k];

@@ -11,8 +11,9 @@
 //!
 //! Built for throughput:
 //!
-//! * map tasks run as a parallel wave over `spec.engine.threads` host
-//!   threads ([`ipso_sim::par::ordered_map_indexed`]), with results
+//! * map tasks run over up to `spec.engine.threads` host threads
+//!   ([`ipso_sim::par::ordered_map_indexed`]; a wave of tasks too light
+//!   to pay for the fork-join stays on the calling thread), with results
 //!   collected in task order so outputs and traces are byte-identical
 //!   to the sequential path for any thread count;
 //! * the map-side sort is a single flat pair buffer pre-sized from the
@@ -142,8 +143,9 @@ where
     }
 }
 
-/// Runs the map + combine side of every task, as a parallel wave over
-/// the host threads configured in `spec.engine`. Results come back in
+/// Runs the map + combine side of every task over up to the host threads
+/// configured in `spec.engine`, fanning out only when the first task's
+/// wall time says the wave pays for it. Results come back in
 /// task order, so downstream accounting is independent of thread count.
 pub(crate) fn execute_map_tasks<M>(
     mapper: &M,

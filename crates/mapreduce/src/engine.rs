@@ -15,8 +15,9 @@
 //! Since the unified-runtime refactor the engine is a thin composition:
 //!
 //! 1. **data path** ([`crate::datapath`]) — the real map/combine/
-//!    shuffle-group/reduce over sample records, run as a parallel wave
-//!    over host threads; consumes no randomness;
+//!    shuffle-group/reduce over sample records, with the map wave on
+//!    host threads when it outweighs the fork-join; consumes no
+//!    randomness;
 //! 2. **plan** ([`crate::plan`]) — lower the job to the framework-
 //!    agnostic task-graph IR ([`ipso_cluster::TaskGraph`]): one stage of
 //!    map tasks, slowest-task ideal, no lineage;
@@ -130,7 +131,7 @@ where
     let n = splits.len() as u32;
     let mut rng = SimRng::seed_from(spec.seed ^ u64::from(n));
 
-    // Real map-side computation, executed as a parallel wave.
+    // Real map-side computation, fanned out when the wave is heavy enough.
     let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits, spec);
 
     // Lower to the task-graph IR and hand the timing side to the unified

@@ -8,9 +8,10 @@
 //!    with uniform ideal tasks, first-wave fixed extras and lineage
 //!    metadata;
 //! 2. **Execute**: [`ipso_cluster::execute`] owns straggler sampling,
-//!    fault resolution, wave scheduling (as a parallel wave over
-//!    `spec.engine.threads` host threads, with instrumentation captured
-//!    thread-locally) and lineage-recompute accounting;
+//!    fault resolution, wave scheduling (over up to
+//!    `spec.engine.threads` host threads once the stages outweigh the
+//!    fork-join, with instrumentation captured thread-locally) and
+//!    lineage-recompute accounting;
 //! 3. **Walk** (sequential): the virtual clock advances stage by stage —
 //!    serialized broadcasts, stage waves, lineage replays, incast
 //!    shuffles — merging each stage's captured records in stage order so
@@ -110,9 +111,10 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
     // Plan and execute. The runtime consumes the RNG sequentially in
     // stage order (straggler draws, then fault resolution — disabled
     // consumes zero draws), computes every stage's actual / idealized /
-    // no-straggler schedules as a parallel wave over the host threads
-    // with instrumentation captured per stage, and attributes lineage
-    // recomputation from the graph's dependency metadata.
+    // no-straggler schedules (over the host threads when they pay for
+    // the fork-join) with instrumentation captured per stage, and
+    // attributes lineage recomputation from the graph's dependency
+    // metadata.
     let graph = lower_chain(spec);
     let runtime = RuntimeConfig {
         executors: m as usize,
