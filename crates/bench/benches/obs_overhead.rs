@@ -1,10 +1,10 @@
 //! Overhead of the observability layer on the MapReduce engine.
 //!
-//! The design contract of `ipso-obs` is that disabled instrumentation
-//! costs one relaxed atomic load per touch point. This bench measures
-//! the engine with tracing off and on, measures the disabled check
-//! itself, and **asserts** that the disabled-mode instrumentation cost
-//! stays below 5% of the engine's runtime.
+//! The design contract of `ipso-obs` is that instrumentation outside a
+//! capture costs one thread-local check per touch point. This bench
+//! measures the engine with tracing off and on, measures the disabled
+//! check itself, and **asserts** that the disabled-mode instrumentation
+//! cost stays below 5% of the engine's runtime.
 
 use std::time::Instant;
 
@@ -23,19 +23,10 @@ fn run_once() {
 }
 
 fn bench_disabled_vs_enabled(c: &mut Criterion) {
-    ipso_obs::set_enabled(false);
-    ipso_obs::reset();
     c.bench_function("mapreduce_sort_n16_tracing_off", |b| b.iter(run_once));
-
-    ipso_obs::set_enabled(true);
     c.bench_function("mapreduce_sort_n16_tracing_on", |b| {
-        b.iter(|| {
-            ipso_obs::reset();
-            run_once()
-        })
+        b.iter(|| ipso_obs::capture(run_once))
     });
-    ipso_obs::set_enabled(false);
-    ipso_obs::reset();
 }
 
 /// Counts how many times the engine touches the observability layer in
@@ -44,11 +35,9 @@ fn bench_disabled_vs_enabled(c: &mut Criterion) {
 /// one `ipso_obs::enabled()` check on the disabled path (guard blocks
 /// cover several recordings with a single check, so this over-counts).
 fn count_touch_points() -> u64 {
-    ipso_obs::set_enabled(true);
-    ipso_obs::reset();
-    run_once();
-    let events = ipso_obs::take_events().len() as u64;
-    let snap = ipso_obs::snapshot();
+    let ((), records) = ipso_obs::capture(run_once);
+    let events = records.events().len() as u64;
+    let snap = records.metrics();
     // A count-style counter's value equals its number of increments; a
     // `*_bytes` counter's value is a byte total, and its increments are
     // paired 1:1 with a sibling count counter under the same guard.
@@ -60,14 +49,11 @@ fn count_touch_points() -> u64 {
         .sum();
     let gauges = snap.gauges.len() as u64;
     let samples: u64 = snap.histograms.values().map(|h| h.count).sum();
-    ipso_obs::set_enabled(false);
-    ipso_obs::reset();
     events + counters + gauges + samples
 }
 
 fn assert_disabled_overhead_below_5_percent(c: &mut Criterion) {
     // Engine runtime with tracing disabled.
-    ipso_obs::set_enabled(false);
     let runs = 20u32;
     let start = Instant::now();
     for _ in 0..runs {

@@ -14,7 +14,10 @@ use ipso_workloads::{bayes, nweight, random_forest, svm};
 type App = (&'static str, fn(u32, u32) -> ipso_spark::SparkJobSpec);
 
 fn main() {
-    let trace_out = ipso_bench::trace_out_from_env();
+    ipso_bench::trace_out_from_env().run(run);
+}
+
+fn run() {
     let runner = SweepRunner::from_env();
     let ms: Vec<u32> = vec![1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256];
     let sizes: Vec<u32> = vec![32, 64, 128];
@@ -81,5 +84,4 @@ fn main() {
         }
         println!();
     }
-    trace_out.finish();
 }

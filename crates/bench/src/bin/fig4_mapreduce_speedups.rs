@@ -15,7 +15,10 @@ use ipso_workloads::{qmc, sort, terasort, wordcount, PAPER_SWEEP};
 type Case = (&'static str, fn(&[u32]) -> ScalingSweep);
 
 fn main() {
-    let trace_out = ipso_bench::trace_out_from_env();
+    ipso_bench::trace_out_from_env().run(run);
+}
+
+fn run() {
     let runner = SweepRunner::from_env();
     let case_fns: Vec<Case> = vec![
         ("qmc", qmc::sweep),
@@ -60,5 +63,4 @@ fn main() {
             gustafson(eta, f64::from(last.n)).expect("valid"),
         );
     }
-    trace_out.finish();
 }

@@ -12,7 +12,10 @@ use ipso_mapreduce::ScalingSweep;
 use ipso_workloads::terasort;
 
 fn main() {
-    let trace_out = ipso_bench::trace_out_from_env();
+    ipso_bench::trace_out_from_env().run(run);
+}
+
+fn run() {
     let runner = SweepRunner::from_env();
     let ns: Vec<u32> = (1..=40).collect();
     let points = runner
@@ -54,5 +57,4 @@ fn main() {
         fit.slope_increases(),
         "expected the post-spill regime to grow faster"
     );
-    trace_out.finish();
 }

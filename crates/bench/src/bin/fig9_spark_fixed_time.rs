@@ -15,7 +15,10 @@ use ipso_workloads::{bayes, nweight, random_forest, svm};
 type App = (&'static str, fn(u32, u32) -> ipso_spark::SparkJobSpec);
 
 fn main() {
-    let trace_out = ipso_bench::trace_out_from_env();
+    ipso_bench::trace_out_from_env().run(run);
+}
+
+fn run() {
     let runner = SweepRunner::from_env();
     let ms: Vec<u32> = vec![1, 2, 4, 8, 16, 24, 32, 48, 64];
     let loads: Vec<u32> = vec![1, 2, 4, 8];
@@ -87,5 +90,4 @@ fn main() {
             }
         );
     }
-    trace_out.finish();
 }

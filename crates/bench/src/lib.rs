@@ -162,18 +162,18 @@ impl Table {
 
 /// The experiment binaries' shared `--trace-out FILE` support.
 ///
-/// Call [`trace_out_from_env`] first thing in `main`; if the flag is
-/// present the observability layer is enabled for the whole run, and
-/// [`TraceOut::finish`] writes the collected spans as a Chrome
-/// trace-event (Perfetto) file. Without the flag both calls are no-ops.
+/// `main` wraps its body as `trace_out_from_env().run(body)`. With the
+/// flag, the body runs inside one [`ipso_obs::capture`] and its spans
+/// are written as a Chrome trace-event (Perfetto) file; without it the
+/// body just runs.
 #[derive(Debug)]
-#[must_use = "call finish() at the end of main to write the trace"]
+#[must_use = "call run() with the body of main"]
 pub struct TraceOut {
     path: Option<PathBuf>,
 }
 
 /// Parses `--trace-out FILE` (or `--trace-out=FILE`) from the process
-/// arguments and, when present, switches tracing on.
+/// arguments.
 pub fn trace_out_from_env() -> TraceOut {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
@@ -189,31 +189,30 @@ pub fn trace_out_from_env() -> TraceOut {
             i += 1;
         }
     }
-    if path.is_some() {
-        ipso_obs::set_enabled(true);
-        ipso_obs::reset();
-    }
     TraceOut { path }
 }
 
 impl TraceOut {
-    /// Writes the timeline collected since [`trace_out_from_env`] (if
-    /// `--trace-out` was given) and disables tracing again.
+    /// Runs `body`, tracing it when `--trace-out` was given, and then
+    /// writes the timeline it recorded.
     ///
     /// # Panics
     ///
     /// Panics if the output file cannot be written (experiment binaries
     /// want loud failures).
-    pub fn finish(self) {
-        let Some(path) = self.path else { return };
-        let events = ipso_obs::take_events();
-        ipso_obs::set_enabled(false);
+    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
+        let Some(path) = self.path else {
+            return body();
+        };
+        let (result, records) = ipso_obs::capture(body);
+        let events = records.into_events();
         ipso_obs::write_chrome_trace(&path, &events).expect("cannot write --trace-out file");
         println!(
             "{} trace events -> {} (open in https://ui.perfetto.dev)",
             events.len(),
             path.display()
         );
+        result
     }
 }
 

@@ -13,10 +13,11 @@
 //! * **Index-ordered results** — workers pull points off a shared queue
 //!   (work stealing, so one expensive `n = 200` point cannot serialize
 //!   the sweep behind it) but results are collected by point index.
-//! * **Observability capture** — each point runs under
-//!   [`ipso_obs::capture`], and the per-point span/metric buffers are
-//!   merged into the global recorder in point order after the joins, so
-//!   `--trace-out` timelines survive parallelism unchanged.
+//! * **Observability capture** — when the calling thread records, each
+//!   point runs under its own [`ipso_obs::capture`], and the per-point
+//!   span/metric buffers are merged into the caller's capture in point
+//!   order after the joins, so `--trace-out` timelines survive
+//!   parallelism unchanged. When it does not record, no point captures.
 //!
 //! Binaries opt in via [`SweepRunner::from_env`], which understands the
 //! shared `--jobs N` flag: `--jobs 1` reproduces today's sequential run
@@ -105,10 +106,9 @@ impl SweepRunner {
     /// results in input order.
     ///
     /// The determinism contract: as long as `f(ctx, item)` depends only
-    /// on its arguments (plus the global observability recorder, which
-    /// is captured per point and merged in index order), the returned
-    /// vector and the recorder state are identical for every `jobs`
-    /// value, including `jobs = 1`.
+    /// on its arguments, the returned vector — and, when the caller
+    /// records, the records merged into its capture in index order — are
+    /// identical for every `jobs` value, including `jobs = 1`.
     ///
     /// # Panics
     ///
@@ -126,9 +126,10 @@ impl SweepRunner {
         // the result (plus its captured observability records) moves in.
         let inputs: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let outputs: Vec<Mutex<Option<(R, ipso_obs::LocalRecords)>>> =
+        let outputs: Vec<Mutex<Option<(R, ipso_obs::Records)>>> =
             (0..total).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
+        let recording = ipso_obs::enabled();
 
         let run_point = |index: usize| {
             let item = inputs[index]
@@ -140,8 +141,12 @@ impl SweepRunner {
                 index,
                 seed: ipso_sim::stream_seed(self.base_seed, index as u64),
             };
-            let (result, records) = ipso_obs::capture(|| f(ctx, item));
-            *outputs[index].lock().expect("output slot poisoned") = Some((result, records));
+            let output = if recording {
+                ipso_obs::capture(|| f(ctx, item))
+            } else {
+                (f(ctx, item), ipso_obs::Records::default())
+            };
+            *outputs[index].lock().expect("output slot poisoned") = Some(output);
         };
 
         if workers == 1 {
@@ -292,22 +297,15 @@ mod tests {
 
     #[test]
     fn observability_merges_in_point_order_for_any_jobs() {
-        let _guard = obs_test_lock();
         let collect = |jobs: usize| -> Vec<String> {
-            ipso_obs::set_enabled(true);
-            ipso_obs::reset();
-            SweepRunner::new(jobs).map((0..16u32).collect(), |_ctx, i| {
-                ipso_obs::record_span("t", &format!("point-{i}"), "bench", f64::from(i), 1.0);
-                ipso_obs::counter_add("points", 1);
+            let ((), records) = ipso_obs::capture(|| {
+                SweepRunner::new(jobs).map((0..16u32).collect(), |_ctx, i| {
+                    ipso_obs::record_span("t", &format!("point-{i}"), "bench", f64::from(i), 1.0);
+                    ipso_obs::counter_add("points", 1);
+                });
             });
-            let names = ipso_obs::take_events()
-                .into_iter()
-                .map(|e| e.name)
-                .collect();
-            assert_eq!(ipso_obs::counter_value("points"), 16);
-            ipso_obs::set_enabled(false);
-            ipso_obs::reset();
-            names
+            assert_eq!(records.metrics().counter("points"), 16);
+            records.into_events().into_iter().map(|e| e.name).collect()
         };
         let sequential = collect(1);
         assert_eq!(sequential.len(), 16);
@@ -315,10 +313,9 @@ mod tests {
         assert_eq!(collect(4), sequential);
     }
 
-    /// Serializes tests that toggle the global obs recorder.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    #[test]
+    fn points_record_nothing_when_the_caller_does_not() {
+        let recorded = SweepRunner::new(4).map((0..8u32).collect(), |_ctx, _| ipso_obs::enabled());
+        assert_eq!(recorded, vec![false; 8]);
     }
 }

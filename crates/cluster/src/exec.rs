@@ -41,7 +41,7 @@ impl EngineOptions {
     }
 }
 
-/// The schedule produced by [`run_wave_schedule`].
+/// The schedule produced by [`run_wave_schedule_policy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSchedule {
     /// Per-task records, in task order.
@@ -68,29 +68,15 @@ impl TaskSchedule {
     }
 }
 
-/// Runs `durations.len()` tasks over `executors` slots.
+/// Runs `durations.len()` tasks over `executors` slots, dispatched in
+/// the order `policy` chooses.
 ///
-/// Task `i` becomes runnable once the scheduler has dispatched it
-/// (dispatches are serialized at the master in task order) and an executor
-/// slot frees up; slots are granted earliest-available-first.
-///
-/// # Panics
-///
-/// Panics if `executors` is zero or any duration is negative/non-finite.
-pub fn run_wave_schedule(
-    durations: &[f64],
-    executors: usize,
-    scheduler: &CentralScheduler,
-) -> TaskSchedule {
-    run_wave_schedule_policy(durations, executors, scheduler, SchedulerPolicy::Fifo)
-}
-
-/// [`run_wave_schedule`] with an explicit dispatch-order policy.
-///
-/// [`SchedulerPolicy::Fifo`] reproduces `run_wave_schedule` operation for
-/// operation (dispatch order, pool submissions, instrumentation), so every
-/// pre-policy artifact is byte-identical. Other policies permute only the
-/// dispatch order; the returned records are always in task-id order.
+/// Each dispatch is serialized at the master; a task becomes runnable
+/// once the scheduler has dispatched it and an executor slot frees up,
+/// and slots are granted earliest-available-first. With
+/// [`SchedulerPolicy::Fifo`] tasks are dispatched in task order; other
+/// policies permute only the dispatch order. The returned records are
+/// always in task-id order.
 ///
 /// # Panics
 ///
@@ -149,7 +135,7 @@ pub fn run_wave_schedule_policy(
 /// Makespan of `tasks` identical-duration tasks over `executors` slots —
 /// the allocation-free fast path for idealized reference schedules.
 ///
-/// Equivalent to `run_wave_schedule(&vec![duration; tasks], …).makespan`
+/// Equivalent to the FIFO `run_wave_schedule_policy(&vec![duration; tasks], …).makespan`
 /// but without materializing the duration vector, the per-task records,
 /// or the scheduler-level instrumentation: reference schedules are
 /// hypothetical runs, so they skip the `cluster.*` counters and
@@ -205,10 +191,14 @@ fn peak_queue_depth(queued: &[(f64, f64)]) -> f64 {
 mod tests {
     use super::*;
 
+    fn fifo(durations: &[f64], executors: usize, scheduler: &CentralScheduler) -> TaskSchedule {
+        run_wave_schedule_policy(durations, executors, scheduler, SchedulerPolicy::Fifo)
+    }
+
     #[test]
     fn single_wave_is_max_plus_dispatch() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[5.0, 7.0, 6.0], 3, &sched);
+        let s = fifo(&[5.0, 7.0, 6.0], 3, &sched);
         // Dispatch is ~instant, so makespan ≈ slowest task.
         assert!((s.makespan - 7.0).abs() < 1e-3);
         assert_eq!(s.records.len(), 3);
@@ -218,7 +208,7 @@ mod tests {
     #[test]
     fn waves_stack_on_few_executors() {
         let sched = CentralScheduler::idealized();
-        let s = run_wave_schedule(&[1.0; 6], 2, &sched);
+        let s = fifo(&[1.0; 6], 2, &sched);
         // 6 unit tasks on 2 executors: 3 waves.
         assert!((s.makespan - 3.0).abs() < 1e-3);
     }
@@ -230,7 +220,7 @@ mod tests {
             contention: 0.0,
             job_setup: 0.0,
         };
-        let s = run_wave_schedule(&[10.0, 10.0], 2, &sched);
+        let s = fifo(&[10.0, 10.0], 2, &sched);
         // Task 0 dispatched at t = 1, task 1 at t = 2.
         assert!((s.records[0].start - 1.0).abs() < 1e-12);
         assert!((s.records[1].start - 2.0).abs() < 1e-12);
@@ -245,8 +235,8 @@ mod tests {
             contention: 0.001,
             job_setup: 0.0,
         };
-        let s100 = run_wave_schedule(&[0.0; 100], 100, &sched);
-        let s200 = run_wave_schedule(&[0.0; 200], 200, &sched);
+        let s100 = fifo(&[0.0; 100], 100, &sched);
+        let s200 = fifo(&[0.0; 200], 200, &sched);
         assert!(s200.dispatch_total > 2.5 * s100.dispatch_total);
     }
 
@@ -257,7 +247,7 @@ mod tests {
             contention: 0.0,
             job_setup: 0.0,
         };
-        let s = run_wave_schedule(&[4.0, 4.0], 2, &sched);
+        let s = fifo(&[4.0, 4.0], 2, &sched);
         let zero = 4.0; // with free dispatch both run immediately
         assert!(s.dispatch_induced_delay(zero) > 0.0);
         assert_eq!(s.dispatch_induced_delay(1e9), 0.0);
@@ -266,12 +256,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one executor")]
     fn zero_executors_rejected() {
-        run_wave_schedule(&[1.0], 0, &CentralScheduler::idealized());
+        fifo(&[1.0], 0, &CentralScheduler::idealized());
     }
 
     #[test]
     fn empty_task_set_is_trivial() {
-        let s = run_wave_schedule(&[], 4, &CentralScheduler::idealized());
+        let s = fifo(&[], 4, &CentralScheduler::idealized());
         assert_eq!(s.makespan, 0.0);
         assert!(s.records.is_empty());
     }
@@ -287,7 +277,7 @@ mod tests {
                     job_setup: 0.0,
                 },
             ] {
-                let full = run_wave_schedule(&vec![d; tasks], execs, &scheduler);
+                let full = fifo(&vec![d; tasks], execs, &scheduler);
                 let fast = uniform_wave_makespan(d, tasks, execs, &scheduler);
                 assert_eq!(
                     full.makespan, fast,

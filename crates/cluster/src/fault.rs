@@ -412,7 +412,7 @@ pub struct FaultOutcome {
 /// per task in index order (retry loop), then per node in slot order
 /// (crash decisions) — and speculation consumes no randomness at all.
 /// Tasks are assigned to nodes round-robin (`task i` on `node i %
-/// executors`), matching [`crate::run_wave_schedule`]'s executor labels.
+/// executors`), matching [`crate::run_wave_schedule_policy`]'s executor labels.
 ///
 /// When observability is enabled, emits `fault.*` counters, a
 /// `fault.task_attempts` histogram, and `overhead.*_wasted_s` gauges.
@@ -429,7 +429,7 @@ pub struct FaultOutcome {
 /// # Panics
 ///
 /// Panics if `executors` is zero or any duration is negative/non-finite
-/// (the same contract as [`crate::run_wave_schedule`]).
+/// (the same contract as [`crate::run_wave_schedule_policy`]).
 pub fn resolve_faults(
     durations: &[f64],
     executors: usize,

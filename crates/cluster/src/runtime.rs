@@ -11,14 +11,16 @@
 //!    first stage's wall time says the rest outweigh the fork-join, and
 //!    otherwise stays on the calling thread): the actual wave schedule
 //!    under the configured [`SchedulerPolicy`], the idealized reference
-//!    ([`IdealReference`]) and, when requested and observability is on,
-//!    the no-straggler reference — all instrumentation captured
-//!    thread-locally ([`ipso_obs::capture`]);
+//!    ([`IdealReference`]) and, when requested and the caller records,
+//!    the no-straggler reference. When the caller records, the actual
+//!    schedule's instrumentation is captured per stage
+//!    ([`ipso_obs::capture`]) and the references' is dropped;
+//!    otherwise nothing is captured;
 //! 3. **Attribute**: the per-stage [`StageOutcome`]s carry the Ws/Wp/Wo
 //!    components — schedule overhead beyond the ideal, wasted recovery
 //!    work, lineage recomputation — which the engines accumulate during
 //!    their sequential clock walk, merging each stage's captured records
-//!    at the walk point so the global observability stream is
+//!    at the walk point so the caller's observability stream is
 //!    byte-identical to a sequential run for any thread count.
 //!
 //! Placement is implicit and deterministic: task `t` of a stage lives on
@@ -79,7 +81,7 @@ pub struct StageOutcome {
     pub ideal_makespan: f64,
     /// No-straggler durations and their makespan under the *real*
     /// scheduler — present only when the graph requests the reference
-    /// and observability is on.
+    /// and the caller records.
     pub no_straggler: Option<(Vec<f64>, f64)>,
     /// Fault resolution, when the model is enabled.
     pub fault: Option<FaultOutcome>,
@@ -87,7 +89,7 @@ pub struct StageOutcome {
     pub lineage: Option<LineageRecompute>,
     /// Instrumentation captured while scheduling; engines merge it at
     /// the stage's position in their clock walk.
-    pub records: ipso_obs::LocalRecords,
+    pub records: ipso_obs::Records,
 }
 
 impl StageOutcome {
@@ -287,20 +289,33 @@ pub fn execute(
         });
     }
 
-    // Phase 2 — schedule, fanned out over stages past the grain.
-    // Instrumentation is captured per stage and handed to the caller for
-    // in-order merge.
+    // Phase 2 — schedule, fanned out over stages past the grain. When
+    // the caller records, each stage's instrumentation is captured on
+    // whichever thread runs it and handed to the caller for in-order
+    // merge; otherwise nothing is captured at all.
+    let recording = ipso_obs::enabled();
     let mut outcomes: Vec<StageOutcome> =
         ipso_sim::par::ordered_map_indexed(config.threads, graph.stages.len(), |k| {
             let stage = &graph.stages[k];
             let sample = &samples[k];
-            let ((schedule, ideal_makespan, no_straggler), records) = ipso_obs::capture(|| {
-                let schedule = run_wave_schedule_policy(
+            let actual = || {
+                run_wave_schedule_policy(
                     &sample.effective,
                     config.executors,
                     &config.scheduler,
                     config.policy,
-                );
+                )
+            };
+            let (schedule, records) = if recording {
+                ipso_obs::capture(actual)
+            } else {
+                (actual(), ipso_obs::Records::default())
+            };
+            // The references are hypothetical runs: their pool submits,
+            // dispatches and `cluster.*` counters must not count as real
+            // ones, so when recording they run in a capture whose records
+            // are dropped.
+            let references = || {
                 let ideal_makespan = match &stage.ideal {
                     IdealReference::SlowestTask => schedule.max_task_duration(),
                     IdealReference::Uniform { duration } => uniform_wave_makespan(
@@ -321,7 +336,7 @@ pub fn execute(
                 };
                 // No-straggler schedule under the *same* scheduler, used
                 // to split overhead into tail and scheduling shares.
-                let no_straggler = if graph.no_straggler_reference && ipso_obs::enabled() {
+                let no_straggler = if graph.no_straggler_reference && recording {
                     let ns: Vec<f64> = (0..stage.tasks()).map(|t| stage.nominal(t)).collect();
                     let ns_makespan = run_wave_schedule_policy(
                         &ns,
@@ -334,8 +349,13 @@ pub fn execute(
                 } else {
                     None
                 };
-                (schedule, ideal_makespan, no_straggler)
-            });
+                (ideal_makespan, no_straggler)
+            };
+            let (ideal_makespan, no_straggler) = if recording {
+                ipso_obs::capture(references).0
+            } else {
+                references()
+            };
             StageOutcome {
                 effective: Vec::new(), // filled below, once per stage
                 schedule,
@@ -509,10 +529,17 @@ mod tests {
     fn policies_are_deterministic_and_fifo_matches_legacy() {
         let durations = [3.0, 1.0, 2.0, 5.0, 0.5];
         let sched = CentralScheduler::spark_like();
-        let legacy = crate::exec::run_wave_schedule(&durations, 2, &sched);
+        // FIFO is the legacy order: task t is the t-th dispatch.
         let fifo = run_wave_schedule_policy(&durations, 2, &sched, SchedulerPolicy::Fifo);
-        assert_eq!(legacy, fifo);
-        for policy in [SchedulerPolicy::Fair, SchedulerPolicy::Locality] {
+        for (t, record) in fifo.records.iter().enumerate() {
+            assert_eq!(record.executor as usize, t % 2);
+        }
+        assert!(fifo.records.windows(2).all(|w| w[0].start <= w[1].start));
+        for policy in [
+            SchedulerPolicy::Fifo,
+            SchedulerPolicy::Fair,
+            SchedulerPolicy::Locality,
+        ] {
             let a = run_wave_schedule_policy(&durations, 2, &sched, policy);
             let b = run_wave_schedule_policy(&durations, 2, &sched, policy);
             assert_eq!(a, b, "{policy}");

@@ -153,7 +153,7 @@ where
     let mut outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
     let mut stage = outcome.stages.pop().expect("single-stage graph");
     // Replay the captured scheduling instrumentation at its place in the
-    // global stream: after sampling, before the shuffle model below.
+    // caller's stream: after sampling, before the shuffle model below.
     ipso_obs::merge(std::mem::take(&mut stage.records));
     let max_task = stage.schedule.max_task_duration();
 

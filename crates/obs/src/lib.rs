@@ -6,86 +6,104 @@
 //!   spans (the simulated clock the engines compute analytically) via
 //!   [`record_span`] / [`VirtualSpan`], and *wall-clock* spans via the
 //!   RAII [`WallSpan`] guard.
-//! * [`metrics`] — a global registry of atomic counters, gauges and
-//!   log₂-bucketed histograms.
+//! * [`metrics`] — counters, gauges and log₂-bucketed histograms,
+//!   recorded as ordered updates and summed into a [`MetricsSnapshot`].
 //! * [`perfetto`] — a Chrome trace-event (Perfetto-loadable) JSON
 //!   exporter over the recorded spans: one track per executor, `ph:"X"`
 //!   duration events and `ph:"i"` instants.
 //!
-//! Everything is gated behind one global flag. When tracing is disabled
-//! (the default) every instrumentation call reduces to a single relaxed
-//! atomic load, so the engines pay essentially nothing; see the
-//! `obs_overhead` bench in `crates/bench`.
+//! There is one recorder: [`capture`]. Recording is on exactly while the
+//! current thread runs inside a capture, and what the capture collected
+//! is its result. Outside a capture every instrumentation call reduces
+//! to one thread-local check, so the engines pay essentially nothing;
+//! see the `obs_overhead` bench in `crates/bench`. Because the recorder
+//! is per thread, concurrent runs never see each other's records.
+//!
+//! The catch: a thread outside a capture records nothing, and that
+//! includes worker threads spawned from inside one. Any code that fans
+//! work out must read [`enabled`] on the calling thread and, when it is
+//! on, run each worker's share under its own [`capture`] and [`merge`]
+//! the results back in a deterministic order.
 //!
 //! # Example
 //!
 //! ```
-//! ipso_obs::set_enabled(true);
-//! ipso_obs::reset();
-//! ipso_obs::record_span("executor-0", "map", "mapreduce", 0.0, 1.5);
-//! ipso_obs::counter_add("tasks_launched", 1);
-//! let json = ipso_obs::perfetto::export_chrome_trace(&ipso_obs::take_events());
+//! let ((), records) = ipso_obs::capture(|| {
+//!     ipso_obs::record_span("executor-0", "map", "mapreduce", 0.0, 1.5);
+//!     ipso_obs::counter_add("tasks_launched", 1);
+//! });
+//! assert_eq!(records.metrics().counter("tasks_launched"), 1);
+//! let json = ipso_obs::perfetto::export_chrome_trace(records.events());
 //! assert!(json.contains("\"ph\":\"X\""));
-//! ipso_obs::set_enabled(false);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
 
 pub mod metrics;
 pub mod perfetto;
 pub mod span;
 
-pub use metrics::{
-    counter_add, counter_value, gauge_add, gauge_set, gauge_value, histogram_record, reset_metrics,
-    snapshot, MetricsSnapshot,
-};
+pub use metrics::{counter_add, gauge_add, gauge_set, histogram_record, MetricsSnapshot};
 pub use perfetto::{export_chrome_trace, write_chrome_trace};
-pub use span::{
-    clear_events, record_instant, record_span, snapshot_events, take_events, SpanKind, TraceEvent,
-    VirtualSpan, WallSpan,
-};
+pub use span::{record_instant, record_span, SpanKind, TraceEvent, VirtualSpan, WallSpan};
 
-/// The global instrumentation switch. Off by default.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns instrumentation on or off globally.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+thread_local! {
+    /// The innermost active capture's buffer on this thread; `None`
+    /// outside any capture, which is what switches recording off.
+    static RECORDER: RefCell<Option<Records>> = const { RefCell::new(None) };
+    /// Whether `RECORDER` holds a buffer, kept by [`capture`] alone. A
+    /// plain flag reads as one thread-local load, where the buffer's
+    /// `RefCell` would add a destructor-state and a borrow check.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether instrumentation is currently enabled.
+/// Whether the current thread is recording, i.e. runs inside a
+/// [`capture`].
 ///
-/// This is the only cost instrumented code pays when tracing is off: a
-/// single relaxed atomic load.
-#[inline(always)]
+/// This is the only cost instrumented code pays when nothing records:
+/// a single thread-local load.
+#[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING.with(Cell::get)
 }
 
-/// Clears all recorded spans and metrics (the enable flag is untouched).
-pub fn reset() {
-    span::clear_events();
-    metrics::reset_metrics();
+/// Applies `f` to the active capture buffer; a no-op outside a capture.
+pub(crate) fn record(f: impl FnOnce(&mut Records)) {
+    RECORDER.with(|r| {
+        if let Some(records) = r.borrow_mut().as_mut() {
+            f(records);
+        }
+    });
 }
 
-/// Spans and metric updates recorded inside one [`capture`] scope,
-/// waiting to be [`merge`]d into the global recorder.
+/// The spans and metric updates recorded inside one [`capture`] scope,
+/// in recording order.
 ///
-/// The records preserve recording order, so merging a set of captures in
-/// a deterministic order (e.g. sweep-point index order) reproduces the
-/// exact global state a sequential run would have produced — the
-/// mechanism behind the parallel sweep runner's determinism guarantee.
+/// Keeping the order is what makes parallel sections deterministic:
+/// [`merge`]-ing a set of captures in a fixed order (e.g. sweep-point
+/// index order) reproduces exactly the records a sequential run would
+/// have produced.
 #[derive(Debug, Default)]
-#[must_use = "captured records are lost unless merged"]
-pub struct LocalRecords {
+#[must_use = "captured records are lost unless read or merged"]
+pub struct Records {
     events: Vec<span::TraceEvent>,
     ops: Vec<metrics::MetricOp>,
 }
 
-impl LocalRecords {
-    /// Number of captured span events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
+impl Records {
+    /// The captured trace events, in recording order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
+    }
+
+    /// Consumes the records, returning the trace events.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events
+    }
+
+    /// The captured metric updates, replayed in recording order.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::replay(&self.ops)
     }
 
     /// Whether nothing was captured.
@@ -94,71 +112,54 @@ impl LocalRecords {
     }
 }
 
-/// Runs `f` with all instrumentation on this thread redirected into a
-/// private buffer — no global lock on the recording path — and returns
-/// `f`'s result together with the captured records.
+/// Runs `f` with recording switched on for the current thread and
+/// returns `f`'s result together with everything it recorded.
 ///
 /// Captures nest: an inner capture takes over recording and the outer
-/// buffer resumes when it finishes. Spans must complete inside the scope
-/// that opened them; a guard dropped after the scope records into
-/// whatever recorder is active at drop time.
+/// buffer resumes when it finishes (also when `f` unwinds). Spans must
+/// complete inside the scope that opened them; a guard dropped after
+/// the scope records into whatever capture is active at drop time.
 ///
 /// # Example
 ///
 /// ```
-/// ipso_obs::set_enabled(true);
-/// ipso_obs::reset();
 /// let (value, records) = ipso_obs::capture(|| {
 ///     ipso_obs::record_span("executor-0", "map", "mr", 0.0, 1.0);
 ///     42
 /// });
 /// assert_eq!(value, 42);
-/// assert_eq!(records.event_count(), 1);
-/// assert!(ipso_obs::snapshot_events().is_empty()); // not yet merged
-/// ipso_obs::merge(records);
-/// assert_eq!(ipso_obs::snapshot_events().len(), 1);
-/// ipso_obs::set_enabled(false);
+/// assert_eq!(records.events().len(), 1);
+/// assert!(!ipso_obs::enabled()); // recording ends with the scope
 /// ```
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, LocalRecords) {
-    struct Guard {
-        prev_events: Option<Vec<span::TraceEvent>>,
-        prev_ops: Option<Vec<metrics::MetricOp>>,
-        armed: bool,
-    }
-    impl Drop for Guard {
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Records) {
+    /// Reinstates the enclosing capture's buffer when dropped.
+    struct Restore(Option<Records>);
+    impl Drop for Restore {
         fn drop(&mut self) {
-            // On panic inside `f`, still restore the previous recorder so
-            // the thread is left in a consistent state.
-            if self.armed {
-                let _ = span::take_local_events(self.prev_events.take());
-                let _ = metrics::take_local_ops(self.prev_ops.take());
-            }
+            let outer = self.0.take();
+            RECORDING.with(|on| on.set(outer.is_some()));
+            RECORDER.with(|r| *r.borrow_mut() = outer);
         }
     }
-    let mut guard = Guard {
-        prev_events: span::install_local_events(),
-        prev_ops: metrics::install_local_ops(),
-        armed: true,
-    };
+    let restore = Restore(RECORDER.with(|r| r.borrow_mut().replace(Records::default())));
+    RECORDING.with(|on| on.set(true));
     let result = f();
-    guard.armed = false;
-    let records = LocalRecords {
-        events: span::take_local_events(guard.prev_events.take()),
-        ops: metrics::take_local_ops(guard.prev_ops.take()),
-    };
+    let records = RECORDER
+        .with(|r| r.borrow_mut().take())
+        .expect("capture buffer installed");
+    drop(restore);
     (result, records)
 }
 
-/// Flushes captured records into the global recorder: events are
-/// appended in capture order, metric updates are replayed in capture
-/// order. When called on a thread that is itself inside a [`capture`]
-/// scope, the records flow into that scope's buffer instead, so nested
-/// parallel sections compose.
-pub fn merge(records: LocalRecords) {
-    span::append_events(records.events);
-    for op in records.ops {
-        metrics::apply_op(op);
-    }
+/// Appends records captured elsewhere (typically on a worker thread) to
+/// the current thread's capture: events in order, metric updates in
+/// order. Outside a capture the records are dropped, like any other
+/// recording.
+pub fn merge(records: Records) {
+    record(|active| {
+        active.events.extend(records.events);
+        active.ops.extend(records.ops);
+    });
 }
 
 #[cfg(test)]
@@ -166,35 +167,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capture_redirects_and_merge_replays_in_order() {
-        let _guard = span::test_lock();
-        set_enabled(true);
-        reset();
-        record_span("t", "outside-before", "c", 0.0, 1.0);
+    fn outside_a_capture_nothing_records() {
+        assert!(!enabled());
+        record_span("t", "a", "c", 0.0, 1.0);
+        counter_add("tasks", 1);
+        let ((), records) = capture(|| assert!(enabled()));
+        assert!(records.is_empty(), "records from outside leaked in");
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn capture_records_and_merge_replays_in_order() {
         let ((), records) = capture(|| {
-            record_span("t", "inside", "c", 1.0, 2.0);
-            counter_add("tasks", 2);
-            gauge_set("depth", 3.0);
-            gauge_set("depth", 7.0); // order-sensitive: last write wins
+            record_span("t", "outer-before", "c", 0.0, 1.0);
+            let ((), inner) = capture(|| {
+                record_span("t", "inside", "c", 1.0, 2.0);
+                counter_add("tasks", 2);
+                gauge_set("depth", 3.0);
+                gauge_set("depth", 7.0); // order-sensitive: last write wins
+            });
+            // Nothing reaches the outer capture until merged.
+            assert_eq!(inner.events().len(), 1);
+            merge(inner);
         });
-        // Nothing visible globally until merged.
-        assert_eq!(snapshot_events().len(), 1);
-        assert_eq!(counter_value("tasks"), 0);
-        merge(records);
-        let events = take_events();
-        set_enabled(false);
+        let events = records.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].name, "inside");
-        assert_eq!(counter_value("tasks"), 2);
-        assert_eq!(gauge_value("depth"), 7.0);
-        reset();
+        let metrics = records.metrics();
+        assert_eq!(metrics.counter("tasks"), 2);
+        assert_eq!(metrics.gauge("depth"), 7.0);
     }
 
     #[test]
     fn nested_captures_compose() {
-        let _guard = span::test_lock();
-        set_enabled(true);
-        reset();
         let ((), outer) = capture(|| {
             record_span("t", "outer", "c", 0.0, 1.0);
             let ((), inner) = capture(|| {
@@ -203,56 +208,54 @@ mod tests {
             // Merging inside an active capture lands in that capture.
             merge(inner);
         });
-        assert_eq!(outer.event_count(), 2);
-        merge(outer);
-        let events = take_events();
-        set_enabled(false);
-        assert_eq!(events[0].name, "outer");
-        assert_eq!(events[1].name, "inner");
-        reset();
+        assert_eq!(outer.events()[0].name, "outer");
+        assert_eq!(outer.events()[1].name, "inner");
+    }
+
+    #[test]
+    fn a_panicking_capture_restores_the_outer_one() {
+        let ((), outer) = capture(|| {
+            let caught = std::panic::catch_unwind(|| {
+                capture(|| {
+                    record_span("t", "lost", "c", 0.0, 1.0);
+                    panic!("boom");
+                })
+            });
+            assert!(caught.is_err());
+            record_span("t", "kept", "c", 0.0, 1.0);
+        });
+        let names: Vec<&str> = outer.events().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["kept"]);
+        assert!(!enabled());
     }
 
     #[test]
     fn cross_thread_captures_merge_deterministically() {
-        let _guard = span::test_lock();
-        set_enabled(true);
-        reset();
-        let mut handles = Vec::new();
-        for i in 0..4u32 {
-            handles.push(std::thread::spawn(move || {
-                capture(|| {
-                    record_span(
-                        "t",
-                        &format!("point-{i}"),
-                        "c",
-                        f64::from(i),
-                        f64::from(i) + 1.0,
-                    );
-                    counter_add("points", 1);
+        let ((), records) = capture(|| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|i| {
+                    std::thread::spawn(move || {
+                        capture(|| {
+                            record_span(
+                                "t",
+                                &format!("point-{i}"),
+                                "c",
+                                f64::from(i),
+                                f64::from(i) + 1.0,
+                            );
+                            counter_add("points", 1);
+                        })
+                        .1
+                    })
                 })
-                .1
-            }));
-        }
-        // Merge in point order regardless of completion order.
-        for h in handles {
-            merge(h.join().expect("worker"));
-        }
-        let events = take_events();
-        set_enabled(false);
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+                .collect();
+            // Merge in point order regardless of completion order.
+            for h in handles {
+                merge(h.join().expect("worker"));
+            }
+        });
+        let names: Vec<&str> = records.events().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["point-0", "point-1", "point-2", "point-3"]);
-        assert_eq!(counter_value("points"), 4);
-        reset();
-    }
-
-    #[test]
-    fn disabled_by_default_and_toggleable() {
-        // Other tests toggle the flag; just exercise the transitions.
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
+        assert_eq!(records.metrics().counter("points"), 4);
     }
 }

@@ -1,76 +1,28 @@
-//! The global metrics registry.
+//! Metrics: counters, gauges and histograms.
 //!
-//! Three instrument kinds, all registered by name on first use:
+//! Three instrument kinds, all identified by name:
 //!
 //! * **counters** — monotonically increasing `u64` ([`counter_add`]);
 //! * **gauges** — last-written / accumulated `f64` ([`gauge_set`],
-//!   [`gauge_add`]) stored as atomic bit patterns;
+//!   [`gauge_add`]);
 //! * **histograms** — log₂-bucketed `u64` distributions
 //!   ([`histogram_record`]), e.g. queueing delays in microseconds.
 //!
-//! Values live in `Arc<AtomicU64>` cells, so updates after registration
-//! are lock-free; the registry map itself is behind a mutex taken only
-//! on name lookup. Every entry point is gated on [`crate::enabled`]:
-//! disabled cost is one relaxed atomic load.
+//! An update is recorded as an op in the current thread's
+//! [`crate::capture`] and summed only when the capture's
+//! [`crate::Records::metrics`] replays them, in recording order; that
+//! order is what keeps order-sensitive updates ([`gauge_set`], float
+//! accumulation in [`gauge_add`]) deterministic across parallel runs.
+//! Outside a capture every entry point is a single thread-local check.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`.
 const BUCKETS: usize = 65;
 
-/// A log₂-bucketed histogram of `u64` samples.
-#[derive(Debug)]
-struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-}
-
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    histograms: BTreeMap::new(),
-});
-
-fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    f(&mut REGISTRY.lock().expect("metrics registry poisoned"))
-}
-
-/// One recorded metric update, replayable against the global registry.
-///
-/// Inside a [`crate::capture`] scope updates are buffered as ops on the
-/// capturing thread and applied later, in a caller-chosen order — which
-/// is how the parallel sweep runner keeps even order-sensitive updates
-/// ([`gauge_set`], float accumulation in [`gauge_add`]) deterministic.
+/// One recorded metric update.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum MetricOp {
     CounterAdd(String, u64),
@@ -79,167 +31,41 @@ pub(crate) enum MetricOp {
     HistogramRecord(String, u64),
 }
 
-thread_local! {
-    static LOCAL_OPS: RefCell<Option<Vec<MetricOp>>> = const { RefCell::new(None) };
+fn push(op: MetricOp) {
+    crate::record(|records| records.ops.push(op));
 }
 
-/// Installs a fresh thread-local op buffer, returning the previous one.
-pub(crate) fn install_local_ops() -> Option<Vec<MetricOp>> {
-    LOCAL_OPS.with(|l| l.borrow_mut().replace(Vec::new()))
-}
-
-/// Removes the thread-local op buffer, restoring `previous`, and returns
-/// the captured ops.
-pub(crate) fn take_local_ops(previous: Option<Vec<MetricOp>>) -> Vec<MetricOp> {
-    LOCAL_OPS.with(|l| {
-        let mut slot = l.borrow_mut();
-        let captured = slot.take().expect("no local metric buffer installed");
-        *slot = previous;
-        captured
-    })
-}
-
-/// Buffers `op` locally when a capture scope is active; returns it back
-/// for direct application otherwise.
-fn buffer_locally(op: MetricOp) -> Option<MetricOp> {
-    LOCAL_OPS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.push(op);
-            None
-        }
-        None => Some(op),
-    })
-}
-
-/// Replays one captured op: into the local capture buffer when one is
-/// installed on this thread (nested parallel sections compose), else
-/// against the global registry.
-pub(crate) fn apply_op(op: MetricOp) {
-    let Some(op) = buffer_locally(op) else { return };
-    match op {
-        MetricOp::CounterAdd(name, delta) => counter_add_global(&name, delta),
-        MetricOp::GaugeSet(name, value) => {
-            gauge_cell(&name).store(value.to_bits(), Ordering::Relaxed);
-        }
-        MetricOp::GaugeAdd(name, delta) => gauge_add_global(&name, delta),
-        MetricOp::HistogramRecord(name, value) => histogram_record_global(&name, value),
-    }
-}
-
-/// Adds `delta` to the named counter (registering it on first use).
-/// No-op unless tracing is enabled.
+/// Adds `delta` to the named counter. No-op outside a capture.
 pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::CounterAdd(name, delta)) =
-        buffer_locally(MetricOp::CounterAdd(name.to_string(), delta))
-    {
-        counter_add_global(&name, delta);
+    if crate::enabled() {
+        push(MetricOp::CounterAdd(name.to_string(), delta));
     }
 }
 
-fn counter_add_global(name: &str, delta: u64) {
-    let cell = with_registry(|r| {
-        Arc::clone(
-            r.counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    });
-    cell.fetch_add(delta, Ordering::Relaxed);
-}
-
-/// The current value of a counter (0 if never touched).
-pub fn counter_value(name: &str) -> u64 {
-    with_registry(|r| {
-        r.counters
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    })
-}
-
-fn gauge_cell(name: &str) -> Arc<AtomicU64> {
-    with_registry(|r| {
-        Arc::clone(
-            r.gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits()))),
-        )
-    })
-}
-
-/// Sets the named gauge. No-op unless tracing is enabled.
+/// Sets the named gauge. No-op outside a capture.
 pub fn gauge_set(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::GaugeSet(name, value)) =
-        buffer_locally(MetricOp::GaugeSet(name.to_string(), value))
-    {
-        gauge_cell(&name).store(value.to_bits(), Ordering::Relaxed);
+    if crate::enabled() {
+        push(MetricOp::GaugeSet(name.to_string(), value));
     }
 }
 
 /// Adds `delta` to the named gauge (an accumulating gauge, used for the
-/// overhead-component breakdown). No-op unless tracing is enabled.
+/// overhead-component breakdown). No-op outside a capture.
 pub fn gauge_add(name: &str, delta: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::GaugeAdd(name, delta)) =
-        buffer_locally(MetricOp::GaugeAdd(name.to_string(), delta))
-    {
-        gauge_add_global(&name, delta);
+    if crate::enabled() {
+        push(MetricOp::GaugeAdd(name.to_string(), delta));
     }
 }
 
-fn gauge_add_global(name: &str, delta: f64) {
-    let cell = gauge_cell(name);
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(current) + delta).to_bits();
-        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => current = actual,
-        }
-    }
-}
-
-/// The current value of a gauge (0.0 if never touched).
-pub fn gauge_value(name: &str) -> f64 {
-    with_registry(|r| {
-        r.gauges
-            .get(name)
-            .map_or(0.0, |g| f64::from_bits(g.load(Ordering::Relaxed)))
-    })
-}
-
-/// Records `value` into the named log₂ histogram. No-op unless tracing
-/// is enabled.
+/// Records `value` into the named log₂ histogram. No-op outside a
+/// capture.
 pub fn histogram_record(name: &str, value: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    if let Some(MetricOp::HistogramRecord(name, value)) =
-        buffer_locally(MetricOp::HistogramRecord(name.to_string(), value))
-    {
-        histogram_record_global(&name, value);
+    if crate::enabled() {
+        push(MetricOp::HistogramRecord(name.to_string(), value));
     }
 }
 
-fn histogram_record_global(name: &str, value: u64) {
-    let hist = with_registry(|r| {
-        Arc::clone(
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    });
-    hist.record(value);
-}
-
-/// A point-in-time copy of one histogram.
+/// One histogram summed over a capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of recorded samples.
@@ -262,7 +88,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time copy of the whole registry.
+/// The summed state of every instrument a capture touched.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// All counters, by name.
@@ -271,6 +97,68 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// All histograms, by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+impl MetricsSnapshot {
+    /// Sums `ops` in order into per-name instruments.
+    pub(crate) fn replay(ops: &[MetricOp]) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        let mut histograms: BTreeMap<&str, (u64, u64, [u64; BUCKETS])> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MetricOp::CounterAdd(name, delta) => {
+                    *snap.counters.entry(name.clone()).or_insert(0) += delta;
+                }
+                MetricOp::GaugeSet(name, value) => {
+                    snap.gauges.insert(name.clone(), *value);
+                }
+                MetricOp::GaugeAdd(name, delta) => {
+                    *snap.gauges.entry(name.clone()).or_insert(0.0) += delta;
+                }
+                MetricOp::HistogramRecord(name, value) => {
+                    let (count, sum, buckets) =
+                        histograms.entry(name).or_insert((0, 0, [0; BUCKETS]));
+                    *count += 1;
+                    *sum = sum.wrapping_add(*value);
+                    buckets[(64 - value.leading_zeros()) as usize] += 1;
+                }
+            }
+        }
+        for (name, (count, sum, buckets)) in histograms {
+            let buckets = buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| {
+                    let (lo, hi) = if i == 0 {
+                        (0, 1)
+                    } else {
+                        (1u64 << (i - 1), if i == 64 { u64::MAX } else { 1u64 << i })
+                    };
+                    (lo, hi, c)
+                })
+                .collect();
+            snap.histograms.insert(
+                name.to_string(),
+                HistogramSnapshot {
+                    count,
+                    sum,
+                    buckets,
+                },
+            );
+        }
+        snap
+    }
+
+    /// The named counter's value (0 if never touched).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// The named gauge's value (0.0 if never touched).
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.gauges.get(name).copied().unwrap_or(0.0)
+    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -296,76 +184,18 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Captures the current state of every registered instrument.
-pub fn snapshot() -> MetricsSnapshot {
-    with_registry(|r| MetricsSnapshot {
-        counters: r
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: r
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-            .collect(),
-        histograms: r
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let c = b.load(Ordering::Relaxed);
-                        if c == 0 {
-                            return None;
-                        }
-                        let (lo, hi) = if i == 0 {
-                            (0, 1)
-                        } else {
-                            (1u64 << (i - 1), if i == 64 { u64::MAX } else { 1u64 << i })
-                        };
-                        Some((lo, hi, c))
-                    })
-                    .collect();
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        buckets,
-                    },
-                )
-            })
-            .collect(),
-    })
-}
-
-/// Drops every registered instrument.
-pub fn reset_metrics() {
-    with_registry(|r| {
-        r.counters.clear();
-        r.gauges.clear();
-        r.histograms.clear();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::test_lock;
+    use crate::capture;
 
     #[test]
-    fn disabled_registry_stays_empty() {
-        let _guard = test_lock();
-        crate::set_enabled(false);
-        reset_metrics();
+    fn outside_a_capture_nothing_is_counted() {
         counter_add("c", 1);
         gauge_set("g", 1.0);
         histogram_record("h", 1);
-        let snap = snapshot();
+        let ((), records) = capture(|| ());
+        let snap = records.metrics();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
@@ -373,25 +203,23 @@ mod tests {
 
     #[test]
     fn counters_gauges_histograms_accumulate() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        reset_metrics();
-        counter_add("tasks", 3);
-        counter_add("tasks", 2);
-        gauge_set("depth", 4.0);
-        gauge_add("overhead", 0.25);
-        gauge_add("overhead", 0.5);
-        histogram_record("delay", 0);
-        histogram_record("delay", 1);
-        histogram_record("delay", 900);
-        crate::set_enabled(false);
+        let ((), records) = capture(|| {
+            counter_add("tasks", 3);
+            counter_add("tasks", 2);
+            gauge_set("depth", 4.0);
+            gauge_add("overhead", 0.25);
+            gauge_add("overhead", 0.5);
+            histogram_record("delay", 0);
+            histogram_record("delay", 1);
+            histogram_record("delay", 900);
+        });
+        let snap = records.metrics();
 
-        assert_eq!(counter_value("tasks"), 5);
-        assert_eq!(counter_value("missing"), 0);
-        assert_eq!(gauge_value("depth"), 4.0);
-        assert!((gauge_value("overhead") - 0.75).abs() < 1e-12);
+        assert_eq!(snap.counter("tasks"), 5);
+        assert_eq!(snap.counter("missing"), 0);
+        assert_eq!(snap.gauge("depth"), 4.0);
+        assert!((snap.gauge("overhead") - 0.75).abs() < 1e-12);
 
-        let snap = snapshot();
         let h = &snap.histograms["delay"];
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 901);
@@ -400,19 +228,21 @@ mod tests {
         assert_eq!(h.buckets[1], (1, 2, 1));
         assert_eq!(h.buckets[2], (512, 1024, 1));
         assert!(format!("{snap}").contains("histogram delay"));
-        reset_metrics();
     }
 
     #[test]
-    fn reset_clears_all_instruments() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        reset_metrics();
-        counter_add("x", 1);
-        crate::set_enabled(false);
-        assert_eq!(counter_value("x"), 1);
-        reset_metrics();
-        assert_eq!(counter_value("x"), 0);
-        assert!(snapshot().counters.is_empty());
+    fn each_capture_starts_from_zero() {
+        let ((), first) = capture(|| counter_add("x", 1));
+        assert_eq!(first.metrics().counter("x"), 1);
+        let ((), second) = capture(|| ());
+        assert_eq!(second.metrics().counter("x"), 0);
+        assert!(second.metrics().counters.is_empty());
+    }
+
+    #[test]
+    fn extreme_histogram_values_land_in_the_edge_buckets() {
+        let ((), records) = capture(|| histogram_record("h", u64::MAX));
+        let h = &records.metrics().histograms["h"];
+        assert_eq!(h.buckets, vec![(1u64 << 63, u64::MAX, 1)]);
     }
 }

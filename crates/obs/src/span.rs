@@ -6,11 +6,10 @@
 //! caller; wall-clock spans are available through the RAII [`WallSpan`]
 //! guard for timing real host work (fitting, report generation).
 //!
-//! All recording is gated on [`crate::enabled`]: when tracing is off a
-//! call is a single relaxed atomic load and an immediate return.
+//! Spans record into the current thread's [`crate::capture`]; outside
+//! one a call is a single thread-local check and an immediate return.
 
-use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The temporal shape of a recorded event.
@@ -69,67 +68,13 @@ impl TraceEvent {
     }
 }
 
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// When a [`crate::capture`] scope is active on this thread, events
-    /// go here instead of the global buffer — no lock on the hot path.
-    static LOCAL_EVENTS: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh thread-local event buffer, returning the previous
-/// one (captures nest).
-pub(crate) fn install_local_events() -> Option<Vec<TraceEvent>> {
-    LOCAL_EVENTS.with(|l| l.borrow_mut().replace(Vec::new()))
-}
-
-/// Removes the thread-local event buffer, restoring `previous`, and
-/// returns the captured events.
-pub(crate) fn take_local_events(previous: Option<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    LOCAL_EVENTS.with(|l| {
-        let mut slot = l.borrow_mut();
-        let captured = slot.take().expect("no local event buffer installed");
-        *slot = previous;
-        captured
-    })
-}
-
-/// Appends already-recorded events to the active recorder — the local
-/// capture buffer when one is installed on this thread, else the global
-/// buffer (one lock per batch). How capture buffers are flushed.
-pub(crate) fn append_events(events: Vec<TraceEvent>) {
-    if events.is_empty() {
-        return;
-    }
-    let leftover = LOCAL_EVENTS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.extend(events);
-            None
-        }
-        None => Some(events),
-    });
-    if let Some(events) = leftover {
-        EVENTS.lock().expect("span buffer poisoned").extend(events);
-    }
-}
-
 fn push(event: TraceEvent) {
-    let event = match LOCAL_EVENTS.with(|l| match l.borrow_mut().as_mut() {
-        Some(buf) => {
-            buf.push(event);
-            None
-        }
-        None => Some(event),
-    }) {
-        Some(event) => event,
-        None => return,
-    };
-    EVENTS.lock().expect("span buffer poisoned").push(event);
+    crate::record(|records| records.events.push(event));
 }
 
 /// Records a completed span with caller-supplied (virtual) times.
 ///
-/// No-op unless tracing is enabled. `end` is clamped to `start` so a
+/// No-op outside a [`crate::capture`]. `end` is clamped to `start` so a
 /// degenerate interval never yields a negative duration.
 pub fn record_span(track: &str, name: &str, cat: &str, start: f64, end: f64) {
     if !crate::enabled() {
@@ -148,7 +93,7 @@ pub fn record_span(track: &str, name: &str, cat: &str, start: f64, end: f64) {
 
 /// Records an instant marker at a caller-supplied (virtual) time.
 ///
-/// No-op unless tracing is enabled.
+/// No-op outside a [`crate::capture`].
 pub fn record_instant(track: &str, name: &str, cat: &str, at: f64) {
     if !crate::enabled() {
         return;
@@ -161,21 +106,6 @@ pub fn record_instant(track: &str, name: &str, cat: &str, at: f64) {
     });
 }
 
-/// Returns a copy of all recorded events, in recording order.
-pub fn snapshot_events() -> Vec<TraceEvent> {
-    EVENTS.lock().expect("span buffer poisoned").clone()
-}
-
-/// Drains and returns all recorded events.
-pub fn take_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *EVENTS.lock().expect("span buffer poisoned"))
-}
-
-/// Discards all recorded events.
-pub fn clear_events() {
-    EVENTS.lock().expect("span buffer poisoned").clear();
-}
-
 /// Process-wide wall-clock epoch: all [`WallSpan`] times are seconds
 /// since the first wall-clock observation.
 fn wall_now_s() -> f64 {
@@ -184,17 +114,16 @@ fn wall_now_s() -> f64 {
 }
 
 /// RAII wall-clock span: records a `Complete` span from construction to
-/// drop. Inert (no allocation, no clock read) when tracing is disabled.
+/// drop. Inert (no allocation, no clock read) outside a capture.
 ///
 /// # Example
 ///
 /// ```
-/// ipso_obs::set_enabled(true);
-/// {
+/// let ((), records) = ipso_obs::capture(|| {
 ///     let _span = ipso_obs::WallSpan::new("host", "fit", "analysis");
 ///     // ... timed work ...
-/// } // span recorded here
-/// ipso_obs::set_enabled(false);
+/// }); // span recorded when the guard drops
+/// assert_eq!(records.events().len(), 1);
 /// ```
 #[must_use = "a span guard records its span when dropped"]
 pub struct WallSpan {
@@ -243,10 +172,11 @@ impl Drop for WallSpan {
 /// # Example
 ///
 /// ```
-/// ipso_obs::set_enabled(true);
-/// let span = ipso_obs::VirtualSpan::new("executor-1", "shuffle", "spark", 4.0);
-/// span.complete(7.5); // records [4.0, 7.5]
-/// ipso_obs::set_enabled(false);
+/// let ((), records) = ipso_obs::capture(|| {
+///     let span = ipso_obs::VirtualSpan::new("executor-1", "shuffle", "spark", 4.0);
+///     span.complete(7.5); // records [4.0, 7.5]
+/// });
+/// assert_eq!(records.events()[0].duration(), 3.5);
 /// ```
 #[must_use = "a span guard records its span when dropped"]
 pub struct VirtualSpan {
@@ -294,38 +224,29 @@ impl Drop for VirtualSpan {
 }
 
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture;
 
     #[test]
-    fn disabled_records_nothing() {
-        let _guard = test_lock();
-        crate::set_enabled(false);
-        clear_events();
+    fn outside_a_capture_nothing_records() {
         record_span("t", "a", "c", 0.0, 1.0);
         record_instant("t", "b", "c", 0.5);
-        let _w = WallSpan::new("t", "w", "c");
+        let w = WallSpan::new("t", "w", "c");
         VirtualSpan::new("t", "v", "c", 0.0).complete(1.0);
-        assert!(snapshot_events().is_empty());
+        // Guards opened outside stay inert even when dropped inside.
+        let ((), records) = capture(|| drop(w));
+        assert!(records.events().is_empty());
     }
 
     #[test]
     fn virtual_and_instant_events_record_in_order() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        clear_events();
-        record_span("driver", "init", "mr", 0.0, 1.0);
-        record_instant("executor-0", "straggler", "mr", 3.5);
-        VirtualSpan::new("executor-0", "map", "mr", 1.0).complete(4.0);
-        let events = take_events();
-        crate::set_enabled(false);
+        let ((), records) = capture(|| {
+            record_span("driver", "init", "mr", 0.0, 1.0);
+            record_instant("executor-0", "straggler", "mr", 3.5);
+            VirtualSpan::new("executor-0", "map", "mr", 1.0).complete(4.0);
+        });
+        let events = records.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].name, "init");
         assert_eq!(events[0].duration(), 1.0);
@@ -341,17 +262,15 @@ mod tests {
 
     #[test]
     fn degenerate_spans_are_clamped_non_negative() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        clear_events();
-        record_span("t", "backwards", "c", 5.0, 2.0);
-        VirtualSpan::new("t", "dangling", "c", 7.0).complete(1.0);
-        let dropped = VirtualSpan::new("t", "dropped", "c", 9.0);
-        drop(dropped);
-        let events = take_events();
-        crate::set_enabled(false);
+        let ((), records) = capture(|| {
+            record_span("t", "backwards", "c", 5.0, 2.0);
+            VirtualSpan::new("t", "dangling", "c", 7.0).complete(1.0);
+            let dropped = VirtualSpan::new("t", "dropped", "c", 9.0);
+            drop(dropped);
+        });
+        let events = records.events();
         assert_eq!(events.len(), 3);
-        for e in &events {
+        for e in events {
             assert!(e.duration() >= 0.0, "negative duration in {e:?}");
         }
         assert_eq!(
@@ -365,15 +284,11 @@ mod tests {
 
     #[test]
     fn wall_span_measures_real_time() {
-        let _guard = test_lock();
-        crate::set_enabled(true);
-        clear_events();
-        {
+        let ((), records) = capture(|| {
             let _span = WallSpan::new("host", "sleep", "test");
             std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let events = take_events();
-        crate::set_enabled(false);
+        });
+        let events = records.events();
         assert_eq!(events.len(), 1);
         assert!(
             events[0].duration() >= 0.004,

@@ -2,28 +2,23 @@
 //! timeline must serialize byte-for-byte to the checked-in JSON. Any
 //! intentional format change must update `tests/golden/mini.trace.json`.
 
-use ipso_obs::{export_chrome_trace, record_instant, record_span, take_events, VirtualSpan};
+use ipso_obs::{capture, export_chrome_trace, record_instant, record_span, VirtualSpan};
 
 const GOLDEN: &str = include_str!("golden/mini.trace.json");
 
 #[test]
 fn mini_timeline_matches_golden_file() {
-    ipso_obs::set_enabled(true);
-    ipso_obs::reset();
+    let ((), records) = capture(|| {
+        record_span("driver", "init", "mapreduce", 0.0, 2.0);
+        record_span("driver", "map", "mapreduce", 2.0, 5.5);
+        record_span("executor-0", "task-0", "mapreduce", 2.0, 4.25);
+        let span = VirtualSpan::new("executor-1", "task-1", "mapreduce", 2.0);
+        span.complete(5.5);
+        record_instant("executor-1", "straggler", "mapreduce", 5.5);
+        record_span("driver", "reduce", "mapreduce", 5.5, 6.125);
+    });
 
-    record_span("driver", "init", "mapreduce", 0.0, 2.0);
-    record_span("driver", "map", "mapreduce", 2.0, 5.5);
-    record_span("executor-0", "task-0", "mapreduce", 2.0, 4.25);
-    let span = VirtualSpan::new("executor-1", "task-1", "mapreduce", 2.0);
-    span.complete(5.5);
-    record_instant("executor-1", "straggler", "mapreduce", 5.5);
-    record_span("driver", "reduce", "mapreduce", 5.5, 6.125);
-
-    let events = take_events();
-    ipso_obs::set_enabled(false);
-    ipso_obs::reset();
-
-    let json = export_chrome_trace(&events);
+    let json = export_chrome_trace(records.events());
     if std::env::var("BLESS_GOLDEN").is_ok() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mini.trace.json");
         std::fs::write(path, &json).expect("cannot bless golden file");

@@ -1,16 +1,9 @@
 //! Property tests of the span recorder: recorded spans always have
 //! non-negative durations, and recording a nested structure keeps it
 //! well-nested (any two spans on a track are disjoint or contained).
-//!
-//! The recorder is global state, so every property takes the same lock;
-//! keep any future obs-touching tests in this binary behind it too.
 
-use std::sync::Mutex;
-
-use ipso_obs::{record_span, snapshot_events, SpanKind};
+use ipso_obs::{capture, record_span, SpanKind};
 use proptest::prelude::*;
-
-static OBS: Mutex<()> = Mutex::new(());
 
 fn complete_bounds(events: &[ipso_obs::TraceEvent]) -> Vec<(f64, f64)> {
     events
@@ -32,17 +25,14 @@ proptest! {
     fn recorded_spans_never_have_negative_durations(
         pairs in prop::collection::vec((0.0f64..1e6, -1e3f64..1e3), 1..40),
     ) {
-        let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
-        ipso_obs::set_enabled(true);
-        ipso_obs::reset();
-        for (start, delta) in &pairs {
-            record_span("track", "span", "prop", *start, start + delta);
-        }
-        let events = snapshot_events();
-        ipso_obs::set_enabled(false);
-        ipso_obs::reset();
+        let ((), records) = capture(|| {
+            for (start, delta) in &pairs {
+                record_span("track", "span", "prop", *start, start + delta);
+            }
+        });
+        let events = records.events();
         prop_assert_eq!(events.len(), pairs.len());
-        for e in &events {
+        for e in events {
             prop_assert!(e.duration() >= 0.0, "negative duration {}", e.duration());
         }
     }
@@ -55,27 +45,24 @@ proptest! {
         insets in prop::collection::vec((0.01f64..0.4, 0.01f64..0.4), 1..8),
         siblings in prop::collection::vec(0.1f64..0.9, 0..6),
     ) {
-        let _guard = OBS.lock().unwrap_or_else(|e| e.into_inner());
-        ipso_obs::set_enabled(true);
-        ipso_obs::reset();
-        // A chain of strictly nested spans under a [0, 100] root…
-        let (mut s, mut e) = (0.0f64, 100.0f64);
-        record_span("track", "root", "prop", s, e);
-        for (a, b) in &insets {
+        let ((), records) = capture(|| {
+            // A chain of strictly nested spans under a [0, 100] root…
+            let (mut s, mut e) = (0.0f64, 100.0f64);
+            record_span("track", "root", "prop", s, e);
+            for (a, b) in &insets {
+                let w = e - s;
+                s += w * a;
+                e -= w * b;
+                record_span("track", "child", "prop", s, e);
+            }
+            // …plus sibling leaves inside the innermost span.
             let w = e - s;
-            s += w * a;
-            e -= w * b;
-            record_span("track", "child", "prop", s, e);
-        }
-        // …plus sibling leaves inside the innermost span.
-        let w = e - s;
-        for f in &siblings {
-            let mid = s + w * f;
-            record_span("track", "leaf", "prop", mid, mid);
-        }
-        let bounds = complete_bounds(&snapshot_events());
-        ipso_obs::set_enabled(false);
-        ipso_obs::reset();
+            for f in &siblings {
+                let mid = s + w * f;
+                record_span("track", "leaf", "prop", mid, mid);
+            }
+        });
+        let bounds = complete_bounds(records.events());
         for (i, &(s1, e1)) in bounds.iter().enumerate() {
             prop_assert!(e1 >= s1);
             for &(s2, e2) in &bounds[i + 1..] {

@@ -1,13 +1,11 @@
 #![warn(missing_docs)]
 
-//! Discrete-event simulation core for the IPSO reproduction.
+//! Simulation substrate for the IPSO reproduction.
 //!
 //! The paper's measurements come from Amazon EC2/EMR clusters; this crate
 //! is the foundation of the simulated substitute. It provides:
 //!
 //! * [`time`] — a virtual-clock time type with total ordering;
-//! * [`event`] — a deterministic event queue (FIFO tie-breaking);
-//! * [`engine`] — a thin simulation driver combining clock and queue;
 //! * [`resource`] — FIFO single/multi-server resources for modelling
 //!   serialization points (master NIC, centralized scheduler);
 //! * [`rng`] — seeded random-number helpers so every simulated experiment
@@ -17,21 +15,17 @@
 //! # Example
 //!
 //! ```
-//! use ipso_sim::engine::Simulation;
+//! use ipso_sim::{ServerPool, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping(u32) }
-//!
-//! let mut sim = Simulation::new();
-//! sim.schedule_in(1.5, Ev::Ping(1));
-//! sim.schedule_in(0.5, Ev::Ping(2));
-//! let (t, ev) = sim.next_event().unwrap();
-//! assert_eq!(ev, Ev::Ping(2));
-//! assert_eq!(t.as_secs(), 0.5);
+//! // Three tasks on two servers: the third waits for the first to free.
+//! let mut pool = ServerPool::new(2);
+//! pool.submit(SimTime::ZERO, 1.5);
+//! pool.submit(SimTime::ZERO, 0.5);
+//! let grant = pool.submit(SimTime::ZERO, 1.0);
+//! assert_eq!(grant.start.as_secs(), 0.5);
+//! assert_eq!(pool.makespan().as_secs(), 1.5);
 //! ```
 
-pub mod engine;
-pub mod event;
 pub mod par;
 pub mod resource;
 pub mod rng;
@@ -39,8 +33,6 @@ pub mod special;
 pub mod stats;
 pub mod time;
 
-pub use engine::Simulation;
-pub use event::EventQueue;
 pub use par::{ordered_map_indexed, resolve_threads};
 pub use resource::{FifoServer, ServerPool};
 pub use rng::{stream_seed, SimRng};

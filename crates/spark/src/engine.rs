@@ -15,8 +15,8 @@
 //! 3. **Walk** (sequential): the virtual clock advances stage by stage —
 //!    serialized broadcasts, stage waves, lineage replays, incast
 //!    shuffles — merging each stage's captured records in stage order so
-//!    the global observability stream is byte-identical to a sequential
-//!    run for any thread count.
+//!    the caller's observability stream is byte-identical to a
+//!    sequential run for any thread count.
 
 use ipso_cluster::runtime::RuntimeConfig;
 use ipso_cluster::{ClusterError, FaultSummary, SchedulerPolicy};
@@ -128,7 +128,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
     let outcome = ipso_cluster::execute(&graph, &runtime, &mut rng)?;
 
     // Walk the virtual clock through the stages in order, merging each
-    // stage's captured records at its place so the global observability
+    // stage's captured records at its place so the caller's observability
     // stream is byte-identical to a sequential run.
     let mut clock = 0.0f64;
     let mut overhead = 0.0f64;
@@ -185,7 +185,7 @@ pub fn try_run_job(spec: &SparkJobSpec) -> Result<SparkRun, ClusterError> {
         }
 
         // 2./3. The runtime's schedules; their captured records land in
-        // the global stream here, in stage order.
+        // the caller's stream here, in stage order.
         ipso_obs::merge(std::mem::take(&mut staged.records));
         let stage_overhead = staged.schedule_overhead();
         overhead += stage_overhead;
@@ -457,31 +457,18 @@ mod tests {
 
     #[test]
     fn observability_stream_is_identical_for_any_thread_count() {
-        let _guard = obs_test_lock();
         let collect = |threads: usize| {
-            ipso_obs::set_enabled(true);
-            ipso_obs::reset();
             let mut job = multi_stage_job();
             job.engine.threads = threads;
-            let run = run_job(&job);
-            let events = ipso_obs::take_events();
-            let metrics = ipso_obs::snapshot();
-            ipso_obs::set_enabled(false);
-            ipso_obs::reset();
-            (run, events, metrics)
+            let (run, records) = ipso_obs::capture(|| run_job(&job));
+            let metrics = records.metrics();
+            (run, records.into_events(), metrics)
         };
         let sequential = collect(1);
         assert!(!sequential.1.is_empty());
         for threads in [2, 4] {
             assert_eq!(collect(threads), sequential, "threads = {threads}");
         }
-    }
-
-    /// Serializes tests that toggle the global obs recorder.
-    fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]

@@ -470,21 +470,20 @@ fn parse_fault_flags(
     Ok((faults, recovery))
 }
 
-/// Runs one named workload at scale-out degree `n` with the
-/// observability layer enabled and returns its job trace; the global
-/// span buffer and metrics registry hold the instrumentation afterwards.
-/// `threads` sets the host-side map wave width (`0` = all hardware
-/// threads, `1` = sequential); outputs and traces are identical for any
-/// value. Unrecoverable faults (retries exhausted, fail-fast budget
-/// blown) surface as errors — and a non-zero process exit — after
-/// resetting the observability layer.
+/// Runs one named workload at scale-out degree `n` inside an
+/// observability capture and returns its job trace together with the
+/// captured spans and metrics. `threads` sets the host-side map wave
+/// width (`0` = all hardware threads, `1` = sequential); outputs and
+/// traces are identical for any value. Unrecoverable faults (retries
+/// exhausted, fail-fast budget blown) surface as errors — and a
+/// non-zero process exit.
 fn run_traced_workload(
     name: &str,
     n: u32,
     seed: u64,
     threads: usize,
     args: &Args,
-) -> Result<ipso_cluster::JobTrace, CliError> {
+) -> Result<(ipso_cluster::JobTrace, ipso_obs::Records), CliError> {
     use ipso_mapreduce::try_run_scale_out;
     use ipso_workloads::{sort, terasort, wordcount};
     if n == 0 {
@@ -492,78 +491,75 @@ fn run_traced_workload(
     }
     let (faults, recovery) = parse_fault_flags(args)?;
     let policy = parse_scheduler_flag(args)?;
-    ipso_obs::set_enabled(true);
-    ipso_obs::reset();
-    let run = match name {
-        "terasort" => {
-            let mut spec = terasort::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &terasort::TeraSortMapper,
-                &terasort::TeraSortReducer,
-                &terasort::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
-        "sort" => {
-            let mut spec = sort::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &sort::SortMapper,
-                &sort::SortReducer,
-                &sort::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
-        "wordcount" => {
-            let mut spec = wordcount::job_spec(n);
-            spec.engine.threads = threads;
-            spec.faults = faults;
-            spec.recovery = recovery;
-            spec.policy = policy;
-            try_run_scale_out(
-                &spec,
-                &wordcount::WordCountMapper::new(),
-                &wordcount::WordCountReducer,
-                &wordcount::make_splits(n, seed),
-            )
-            .map(|run| run.trace)
-        }
-        other => {
-            ipso_obs::set_enabled(false);
-            ipso_obs::reset();
-            return Err(CliError(format!(
-                "unknown workload {other:?} (expected one of: {TRACEABLE_WORKLOADS})"
-            )));
-        }
-    };
-    match run {
-        Ok(trace) => Ok(trace),
-        Err(e) => {
-            ipso_obs::set_enabled(false);
-            ipso_obs::reset();
-            Err(CliError(format!("{name} run aborted: {e}")))
-        }
-    }
+    let (run, records) = ipso_obs::capture(|| {
+        let run = match name {
+            "terasort" => {
+                let mut spec = terasort::job_spec(n);
+                spec.engine.threads = threads;
+                spec.faults = faults;
+                spec.recovery = recovery;
+                spec.policy = policy;
+                try_run_scale_out(
+                    &spec,
+                    &terasort::TeraSortMapper,
+                    &terasort::TeraSortReducer,
+                    &terasort::make_splits(n, seed),
+                )
+                .map(|run| run.trace)
+            }
+            "sort" => {
+                let mut spec = sort::job_spec(n);
+                spec.engine.threads = threads;
+                spec.faults = faults;
+                spec.recovery = recovery;
+                spec.policy = policy;
+                try_run_scale_out(
+                    &spec,
+                    &sort::SortMapper,
+                    &sort::SortReducer,
+                    &sort::make_splits(n, seed),
+                )
+                .map(|run| run.trace)
+            }
+            "wordcount" => {
+                let mut spec = wordcount::job_spec(n);
+                spec.engine.threads = threads;
+                spec.faults = faults;
+                spec.recovery = recovery;
+                spec.policy = policy;
+                try_run_scale_out(
+                    &spec,
+                    &wordcount::WordCountMapper::new(),
+                    &wordcount::WordCountReducer,
+                    &wordcount::make_splits(n, seed),
+                )
+                .map(|run| run.trace)
+            }
+            _ => return None,
+        };
+        Some(run)
+    });
+    let run = run.ok_or_else(|| {
+        CliError(format!(
+            "unknown workload {name:?} (expected one of: {TRACEABLE_WORKLOADS})"
+        ))
+    })?;
+    let trace = run.map_err(|e| CliError(format!("{name} run aborted: {e}")))?;
+    Ok((trace, records))
 }
 
 /// Assembles the overhead breakdown from the engines' overhead gauges,
 /// with the trace's measured `Wo(n)` as the total.
-fn breakdown_from_gauges(total: f64) -> ipso::OverheadBreakdown {
+fn breakdown_from_gauges(
+    metrics: &ipso_obs::MetricsSnapshot,
+    total: f64,
+) -> ipso::OverheadBreakdown {
     ipso::overhead_breakdown(
         total,
-        ipso_obs::gauge_value("overhead.scheduling_s"),
-        ipso_obs::gauge_value("overhead.broadcast_s"),
-        ipso_obs::gauge_value("overhead.shuffle_wait_s"),
-        ipso_obs::gauge_value("overhead.straggler_tail_s"),
+        metrics.gauge("overhead.scheduling_s"),
+        metrics.gauge("overhead.broadcast_s"),
+        metrics.gauge("overhead.shuffle_wait_s"),
+        metrics.gauge("overhead.straggler_tail_s"),
     )
 }
 
@@ -588,10 +584,9 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .filter(|p| !p.is_empty())
         .ok_or_else(|| CliError("missing required flag --out FILE".into()))?
         .clone();
-    let trace = run_traced_workload(&workload, n, seed, threads, args)?;
-    let events = ipso_obs::take_events();
-    ipso_obs::set_enabled(false);
-    ipso_obs::write_chrome_trace(std::path::Path::new(&out), &events)
+    let (trace, records) = run_traced_workload(&workload, n, seed, threads, args)?;
+    let events = records.events();
+    ipso_obs::write_chrome_trace(std::path::Path::new(&out), events)
         .map_err(|e| CliError(format!("cannot write {out}: {e}")))?;
     let mut text = String::new();
     writeln!(
@@ -610,13 +605,18 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         trace.phases.reduce
     )
     .expect("string write");
-    write!(text, "{}", breakdown_from_gauges(trace.scale_out_overhead)).expect("string write");
+    write!(
+        text,
+        "{}",
+        breakdown_from_gauges(&records.metrics(), trace.scale_out_overhead)
+    )
+    .expect("string write");
     writeln!(text, "open in https://ui.perfetto.dev or chrome://tracing").expect("string write");
     Ok(text)
 }
 
-/// `ipso metrics` — run an instrumented workload and print the metrics
-/// registry snapshot plus the overhead breakdown.
+/// `ipso metrics` — run an instrumented workload and print the captured
+/// metrics snapshot plus the overhead breakdown.
 ///
 /// # Errors
 ///
@@ -630,13 +630,17 @@ pub fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     let n = args.f64_or("n", 8.0)? as u32;
     let seed = args.f64_or("seed", 3.0)? as u64;
     let threads = args.f64_or("threads", 1.0)? as usize;
-    let trace = run_traced_workload(&workload, n, seed, threads, args)?;
-    let snapshot = ipso_obs::snapshot();
-    ipso_obs::set_enabled(false);
+    let (trace, records) = run_traced_workload(&workload, n, seed, threads, args)?;
+    let snapshot = records.metrics();
     let mut text = String::new();
     writeln!(text, "{workload} @ n = {n} (seed {seed})").expect("string write");
     write!(text, "{snapshot}").expect("string write");
-    write!(text, "{}", breakdown_from_gauges(trace.scale_out_overhead)).expect("string write");
+    write!(
+        text,
+        "{}",
+        breakdown_from_gauges(&snapshot, trace.scale_out_overhead)
+    )
+    .expect("string write");
     Ok(text)
 }
 
