@@ -8,42 +8,15 @@
 //! spill).
 
 use ipso::estimate::estimate_factors;
-use ipso_bench::{SweepRunner, Table};
-use ipso_mapreduce::ScalingSweep;
-use ipso_workloads::{qmc, sort, terasort, wordcount};
-
-/// A named MapReduce sweep constructor.
-type Case = (&'static str, fn(&[u32]) -> ScalingSweep);
+use ipso_bench::{SweepRunner, Table, MAPREDUCE_CASES};
 
 fn main() {
-    let runner = SweepRunner::from_env();
-    let ns: Vec<u32> = vec![1, 2, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64, 96, 128, 160];
-    let case_fns: Vec<Case> = vec![
-        ("qmc", qmc::sweep),
-        ("wordcount", wordcount::sweep),
-        ("sort", sort::sweep),
-        ("terasort", terasort::sweep),
-    ];
-
-    // One grid point per (case, n), run in parallel and reassembled in
-    // case-major order.
-    let grid: Vec<(usize, u32)> = (0..case_fns.len())
-        .flat_map(|c| ns.iter().map(move |&n| (c, n)))
-        .collect();
-    let mut points = runner
-        .map(grid, |_ctx, (c, n)| case_fns[c].1(&[n]).points)
-        .into_iter();
-    let cases: Vec<(&str, ScalingSweep)> = case_fns
-        .iter()
-        .map(|(name, _)| {
-            let points = points.by_ref().take(ns.len()).flatten().collect();
-            (*name, ScalingSweep { points })
-        })
-        .collect();
+    let ns: &[u32] = &[1, 2, 4, 6, 8, 10, 12, 16, 24, 32, 48, 64, 96, 128, 160];
+    let sweeps = SweepRunner::from_env().sweeps(&MAPREDUCE_CASES.map(|(_, s)| (s, ns)));
 
     let mut table = Table::new("fig6_scaling_factors", &["n", "ex", "in", "case"]);
     println!("fitted factors (fit window: n <= 16, as in the paper):\n");
-    for (idx, (name, sweep)) in cases.iter().enumerate() {
+    for (idx, ((name, _), sweep)) in MAPREDUCE_CASES.iter().zip(&sweeps).enumerate() {
         let all = sweep.measurements();
         for m in &all {
             let base = &all[0];

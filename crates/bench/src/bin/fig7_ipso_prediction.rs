@@ -9,71 +9,28 @@
 
 use ipso::classic::gustafson;
 use ipso::predict::ScalingPredictor;
-use ipso_bench::{SweepRunner, Table};
-use ipso_mapreduce::ScalingSweep;
-use ipso_workloads::{qmc, sort, terasort, wordcount, FIT_WINDOW, PAPER_SWEEP};
-
-/// A named MapReduce sweep constructor with its n-grid and fit window.
-struct Case {
-    name: &'static str,
-    sweep: fn(&[u32]) -> ScalingSweep,
-    ns: Vec<u32>,
-    late_window: bool,
-}
+use ipso_bench::{SweepRunner, Table, MAPREDUCE_CASES};
+use ipso_workloads::{FIT_WINDOW, PAPER_SWEEP};
 
 fn main() {
-    let runner = SweepRunner::from_env();
-    let case_fns: Vec<Case> = vec![
-        Case {
-            name: "qmc",
-            sweep: qmc::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        Case {
-            name: "wordcount",
-            sweep: wordcount::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        Case {
-            name: "sort",
-            sweep: sort::sweep,
-            ns: PAPER_SWEEP.to_vec(),
-            late_window: false,
-        },
-        // TeraSort: fit past the spill boundary, as the paper does; the
-        // n = 1 run still provides the workload reference.
-        Case {
-            name: "terasort",
-            sweep: terasort::sweep,
-            ns: vec![
-                1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 160, 200,
-            ],
-            late_window: true,
-        },
+    // TeraSort: fit past the spill boundary, as the paper does; the
+    // n = 1 run still provides the workload reference.
+    let late_window = |name: &str| name == "terasort";
+    let terasort_ns: &[u32] = &[
+        1, 2, 4, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 160, 200,
     ];
+    let ns = |name: &str| {
+        if late_window(name) {
+            terasort_ns
+        } else {
+            PAPER_SWEEP
+        }
+    };
+    let sweeps = SweepRunner::from_env().sweeps(&MAPREDUCE_CASES.map(|(name, s)| (s, ns(name))));
 
-    let grid: Vec<(usize, u32)> = case_fns
-        .iter()
-        .enumerate()
-        .flat_map(|(c, case)| case.ns.iter().map(move |&n| (c, n)))
-        .collect();
-    let mut points = runner
-        .map(grid, |_ctx, (c, n)| (case_fns[c].sweep)(&[n]).points)
-        .into_iter();
-    let cases: Vec<(&Case, ScalingSweep)> = case_fns
-        .iter()
-        .map(|case| {
-            let points = points.by_ref().take(case.ns.len()).flatten().collect();
-            (case, ScalingSweep { points })
-        })
-        .collect();
-
-    for (case, sweep) in &cases {
-        let name = case.name;
+    for ((name, _), sweep) in MAPREDUCE_CASES.iter().zip(&sweeps) {
         let measurements = sweep.measurements();
-        let predictor = if case.late_window {
+        let predictor = if late_window(name) {
             ScalingPredictor::fit_range(&measurements, 16, 64).expect("fit")
         } else {
             ScalingPredictor::fit(&measurements, FIT_WINDOW).expect("fit")

@@ -28,7 +28,17 @@ use std::path::{Path, PathBuf};
 
 pub mod parallel;
 
-pub use parallel::{jobs_from_args, PointCtx, SweepRunner};
+pub use parallel::{jobs_from_args, PointCtx, SweepCase, SweepFn, SweepRunner};
+
+use ipso_workloads::{qmc, sort, terasort, wordcount};
+
+/// The paper's four MapReduce cases (Figs. 4, 6 and 7), by name.
+pub const MAPREDUCE_CASES: [(&str, SweepFn); 4] = [
+    ("qmc", qmc::sweep),
+    ("wordcount", wordcount::sweep),
+    ("sort", sort::sweep),
+    ("terasort", terasort::sweep),
+];
 
 /// Where experiment CSVs are written: `<workspace>/results/`.
 pub fn results_dir() -> PathBuf {

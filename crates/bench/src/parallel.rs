@@ -26,8 +26,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use ipso_mapreduce::ScalingSweep;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A MapReduce sweep constructor, such as `ipso_workloads::sort::sweep`.
+pub type SweepFn = fn(&[u32]) -> ScalingSweep;
+
+/// A MapReduce sweep constructor and the degrees `n` to run it at.
+pub type SweepCase<'a> = (SweepFn, &'a [u32]);
 
 /// Default base seed for per-point RNG streams — distinct from the
 /// engine seeds (42) so runner streams never collide with spec streams.
@@ -186,6 +193,26 @@ impl SweepRunner {
     /// heterogeneous-grid convenience over [`SweepRunner::map`].
     pub fn run<R: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
         self.map(tasks, |_ctx, task| task())
+    }
+
+    /// Runs MapReduce sweeps as one grid of `(case, n)` points — each
+    /// point its own sequential reference plus scale-out run — and
+    /// reassembles one sweep per case, in case order.
+    pub fn sweeps(&self, cases: &[SweepCase<'_>]) -> Vec<ScalingSweep> {
+        let grid: Vec<(usize, u32)> = cases
+            .iter()
+            .enumerate()
+            .flat_map(|(c, (_, ns))| ns.iter().map(move |&n| (c, n)))
+            .collect();
+        let mut points = self
+            .map(grid, |_ctx, (c, n)| (cases[c].0)(&[n]).points)
+            .into_iter();
+        cases
+            .iter()
+            .map(|(_, ns)| ScalingSweep {
+                points: points.by_ref().take(ns.len()).flatten().collect(),
+            })
+            .collect()
     }
 }
 

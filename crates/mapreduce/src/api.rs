@@ -120,8 +120,10 @@ pub enum OutputScaling {
 /// }
 /// ```
 pub trait Mapper {
-    /// Input record type.
-    type Input;
+    /// Input record type. Comparable so a sweep can tell when its
+    /// sequential and scale-out runs share their splits, and execute
+    /// them once ([`crate::ScalingSweep::run`]).
+    type Input: PartialEq;
     /// Intermediate key.
     type Key: Ord + Clone + Sizeable;
     /// Intermediate value.

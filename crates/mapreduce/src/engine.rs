@@ -8,16 +8,20 @@
 //!   speedup numerator: the same tasks run back-to-back on one unit,
 //!   followed by the same merge.
 //!
-//! Both modes *really execute* the user's map/combine/reduce functions
-//! over the sample records and produce real outputs; only wall-clock time
+//! Each mode *really executes* the user's map/combine/reduce functions
+//! over the sample records and produces real outputs; only wall-clock time
 //! is synthetic, charged from nominal data volumes via the cost model.
+//! The two modes differ only in timing, so a sweep point whose sequential
+//! and scale-out runs share their splits executes the records once and
+//! feeds both timing models ([`crate::ScalingSweep::run`]).
 //!
 //! Since the unified-runtime refactor the engine is a thin composition:
 //!
-//! 1. **data path** ([`crate::datapath`]) — the real map/combine/
+//! 1. **data path** (`crate::datapath`) — the real map/combine/
 //!    shuffle-group/reduce over sample records, with the map wave on
 //!    host threads when it outweighs the fork-join; consumes no
-//!    randomness;
+//!    randomness and records nothing, yielding each task's nominal
+//!    output volume, the reduce input volume and the output;
 //! 2. **plan** ([`crate::plan`]) — lower the job to the framework-
 //!    agnostic task-graph IR ([`ipso_cluster::TaskGraph`]): one stage of
 //!    map tasks, slowest-task ideal, no lineage;
@@ -49,6 +53,42 @@ pub struct JobRun<O> {
     pub reduce_input_bytes: u64,
 }
 
+/// What one pass of the data path leaves for the timing models.
+struct DataPath<O> {
+    /// Nominal post-combine output bytes of each map task, in task order.
+    task_out_bytes: Vec<u64>,
+    /// Nominal bytes entering the reduce phase.
+    reduce_input_bytes: u64,
+    /// The reducer's output records, in key order.
+    output: Vec<O>,
+}
+
+impl<O> DataPath<O> {
+    fn into_run(self, trace: JobTrace) -> JobRun<O> {
+        JobRun {
+            trace,
+            output: self.output,
+            reduce_input_bytes: self.reduce_input_bytes,
+        }
+    }
+}
+
+/// Finishes the data path: reduces the map wave's sorted runs
+/// ([`execute_map_tasks`]) and keeps the volumes the timing models read.
+fn reduce_mapped<R: Reducer>(
+    spec: &JobSpec,
+    reducer: &R,
+    mapped: Vec<MappedTask<R::Key, R::Value>>,
+) -> DataPath<R::Output> {
+    let task_out_bytes = mapped.iter().map(|t| t.nominal_out_bytes).collect();
+    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
+    DataPath {
+        task_out_bytes,
+        reduce_input_bytes,
+        output,
+    }
+}
+
 /// Runs the job scaled out over `splits.len()` parallel tasks.
 ///
 /// The trace records:
@@ -63,10 +103,9 @@ pub struct JobRun<O> {
 ///
 /// # Panics
 ///
-/// Panics if `splits` is empty, the split count exceeds the cluster's
-/// slots, the spec fails validation, or — with faults enabled — the run
-/// hits an unrecoverable fault ([`try_run_scale_out`] returns those as
-/// typed errors instead).
+/// Panics with the error's message where [`try_run_scale_out`] returns
+/// an error: on empty splits, more splits than the cluster's slots, an
+/// invalid spec, or — with faults enabled — an unrecoverable fault.
 pub fn run_scale_out<M, R>(
     spec: &JobSpec,
     mapper: &M,
@@ -80,14 +119,12 @@ where
     M::Value: Send,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
-    try_run_scale_out(spec, mapper, reducer, splits)
-        .unwrap_or_else(|e| panic!("unrecoverable fault: {e}"))
+    unwrap_scale_out(try_run_scale_out(spec, mapper, reducer, splits))
 }
 
-/// [`run_scale_out`] with fault-recovery failures surfaced as typed
-/// errors: retries exhausted or the fail-fast wasted-work budget blown
-/// ([`ClusterError`]). With the default (disabled) fault model this
-/// never errs.
+/// [`run_scale_out`] with bad input and fault-recovery failures surfaced
+/// as typed errors. With valid input and the default (disabled) fault
+/// model this never errs.
 ///
 /// When the fault model is enabled, nominal task durations are passed
 /// through [`resolve_faults`] before scheduling: recovery latency
@@ -99,13 +136,12 @@ where
 ///
 /// # Errors
 ///
-/// Returns [`ClusterError::RetriesExhausted`] or
+/// Returns [`ClusterError::InvalidParameter`] if `splits` is empty, the
+/// split count exceeds the cluster's slots, or the spec fails
+/// validation; [`ClusterError::RetriesExhausted`] or
 /// [`ClusterError::WastedWorkExceeded`] from fault resolution.
 ///
-/// # Panics
-///
-/// Panics if `splits` is empty, the split count exceeds the cluster's
-/// slots, or the spec fails validation.
+/// [`resolve_faults`]: ipso_cluster::resolve_faults
 pub fn try_run_scale_out<M, R>(
     spec: &JobSpec,
     mapper: &M,
@@ -119,20 +155,90 @@ where
     M::Value: Send,
     R: Reducer<Key = M::Key, Value = M::Value>,
 {
-    assert!(!splits.is_empty(), "scale-out run needs at least one split");
-    spec.validate().expect("invalid job spec");
+    check_scale_out(spec, splits)?;
+    let data = reduce_mapped(spec, reducer, execute_map_tasks(mapper, splits, spec));
+    let trace = time_scale_out(spec, splits, &data)?;
+    Ok(data.into_run(trace))
+}
+
+/// The scale-out trace and the sequential trace of the same splits, from
+/// one data path: equal to the traces of [`run_scale_out`] and
+/// [`run_sequential`] over `splits`, which each run it.
+///
+/// # Panics
+///
+/// Panics as [`run_scale_out`] does.
+pub(crate) fn run_paired<M, R>(
+    spec: &JobSpec,
+    mapper: &M,
+    reducer: &R,
+    mut splits: Vec<InputSplit<M::Input>>,
+) -> (JobTrace, JobTrace)
+where
+    M: Mapper + Sync,
+    M::Input: Sync,
+    M::Key: Send,
+    M::Value: Send,
+    R: Reducer<Key = M::Key, Value = M::Value>,
+{
+    unwrap_scale_out(check_scale_out(spec, &splits));
+    let mapped = execute_map_tasks(mapper, &splits, spec);
+    // Past the map wave the timing models read only the splits' sizes:
+    // free the records before the reduce allocates its output.
+    for split in &mut splits {
+        split.records = Vec::new();
+    }
+    let data = reduce_mapped(spec, reducer, mapped);
+    let par = unwrap_scale_out(time_scale_out(spec, &splits, &data));
+    (par, time_sequential(spec, &splits, &data))
+}
+
+/// Panics with a scale-out error's message: bad input as it is, a fault
+/// as unrecoverable.
+fn unwrap_scale_out<T>(result: Result<T, ClusterError>) -> T {
+    result.unwrap_or_else(|e| match e {
+        ClusterError::InvalidParameter { .. } => panic!("{e}"),
+        _ => panic!("unrecoverable fault: {e}"),
+    })
+}
+
+/// Rejects a scale-out run that cannot start: no splits, an invalid
+/// spec, or more splits than the cluster has slots (one container per
+/// unit).
+fn check_scale_out<I>(spec: &JobSpec, splits: &[InputSplit<I>]) -> Result<(), ClusterError> {
+    if splits.is_empty() {
+        return Err(ClusterError::InvalidParameter {
+            what: "split count",
+            message: "a scale-out run needs at least one split".to_string(),
+        });
+    }
+    spec.validate()
+        .map_err(|message| ClusterError::InvalidParameter {
+            what: "job spec",
+            message,
+        })?;
     let slots = spec.cluster.total_slots() as usize;
-    assert!(
-        splits.len() <= slots,
-        "one container per unit: {} splits exceed {} slots",
-        splits.len(),
-        slots
-    );
+    if splits.len() > slots {
+        return Err(ClusterError::InvalidParameter {
+            what: "split count",
+            message: format!(
+                "one container per unit: {} splits exceed {slots} slots",
+                splits.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// The scale-out timing model over the volumes of `data`.
+fn time_scale_out<I, O>(
+    spec: &JobSpec,
+    splits: &[InputSplit<I>],
+    data: &DataPath<O>,
+) -> Result<JobTrace, ClusterError> {
+    let slots = spec.cluster.total_slots() as usize;
     let n = splits.len() as u32;
     let mut rng = SimRng::seed_from(spec.seed ^ u64::from(n));
-
-    // Real map-side computation, fanned out when the wave is heavy enough.
-    let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits, spec);
 
     // Lower to the task-graph IR and hand the timing side to the unified
     // runtime: straggler sampling, fault resolution (disabled consumes
@@ -163,7 +269,7 @@ where
     // them negligible for the single-reducer MapReduce cases (the
     // network-level incast model lives in `ipso_cluster::NetworkModel`
     // and is exercised by the Spark engine's m-to-m shuffles).
-    let total_intermediate: u64 = mapped.iter().map(|t| t.nominal_out_bytes).sum();
+    let total_intermediate: u64 = data.task_out_bytes.iter().sum();
     let shuffle = if spec.pipelined_shuffle {
         // Slow-start shuffle: the reducer's transfer server ingests each
         // task's output when that task completes; only the portion that
@@ -171,8 +277,8 @@ where
         // server captures the queueing effect at the single reducer.
         let mut server = ipso_sim::FifoServer::new();
         let mut finish = ipso_sim::SimTime::ZERO;
-        for (record, task) in stage.schedule.records.iter().zip(&mapped) {
-            let service = spec.cost.shuffle_time(task.nominal_out_bytes);
+        for (record, &out_bytes) in stage.schedule.records.iter().zip(&data.task_out_bytes) {
+            let service = spec.cost.shuffle_time(out_bytes);
             let grant = server.submit(ipso_sim::SimTime::from_secs(record.end), service);
             finish = finish.max(grant.finish);
         }
@@ -182,9 +288,7 @@ where
     };
     let slowdown = spec.reducer_memory.slowdown(total_intermediate);
     let merge = spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown;
-
-    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
-    let reduce = spec.cost.reduce_time(reduce_input_bytes) * slowdown;
+    let reduce = spec.cost.reduce_time(data.reduce_input_bytes) * slowdown;
 
     // Scale-out-only overheads, attributed by the runtime: extra job
     // setup versus the sequential environment (the graph's setup term),
@@ -210,7 +314,7 @@ where
         );
     }
 
-    let trace = JobTrace {
+    Ok(JobTrace {
         job: spec.name.clone(),
         n,
         phases: PhaseTimes {
@@ -228,11 +332,6 @@ where
             seed: spec.seed,
         }),
         faults: stage.fault.map(|o| o.summary),
-    };
-    Ok(JobRun {
-        trace,
-        output,
-        reduce_input_bytes,
     })
 }
 
@@ -310,29 +409,30 @@ where
         "sequential run needs at least one split"
     );
     spec.validate().expect("invalid job spec");
-    let n = splits.len() as u32;
-
     // "Sequential" refers to the simulated execution model, not the
     // host: the real record processing still uses the map wave.
-    let mapped: Vec<MappedTask<M::Key, M::Value>> = execute_map_tasks(mapper, splits, spec);
+    let data = reduce_mapped(spec, reducer, execute_map_tasks(mapper, splits, spec));
+    let trace = time_sequential(spec, splits, &data);
+    data.into_run(trace)
+}
 
+/// The sequential timing model over the volumes of `data`.
+fn time_sequential<I, O>(spec: &JobSpec, splits: &[InputSplit<I>], data: &DataPath<O>) -> JobTrace {
     let mean_mult = spec.straggler.mean_multiplier();
     let map_total: f64 = splits
         .iter()
         .map(|s| spec.cost.map_time(s.nominal_bytes) * mean_mult)
         .sum();
 
-    let total_intermediate: u64 = mapped.iter().map(|t| t.nominal_out_bytes).sum();
+    let total_intermediate: u64 = data.task_out_bytes.iter().sum();
     let shuffle = spec.cost.shuffle_time(total_intermediate);
     let slowdown = spec.reducer_memory.slowdown(total_intermediate);
     let merge = spec.cost.serial_setup + spec.cost.merge_time(total_intermediate) * slowdown;
+    let reduce = spec.cost.reduce_time(data.reduce_input_bytes) * slowdown;
 
-    let (output, reduce_input_bytes) = execute_reduce(reducer, mapped, spec.shuffle);
-    let reduce = spec.cost.reduce_time(reduce_input_bytes) * slowdown;
-
-    let trace = JobTrace {
+    JobTrace {
         job: spec.name.clone(),
-        n,
+        n: splits.len() as u32,
         phases: PhaseTimes {
             init: spec.cost.seq_init,
             map: map_total,
@@ -348,11 +448,6 @@ where
             seed: spec.seed,
         }),
         faults: None,
-    };
-    JobRun {
-        trace,
-        output,
-        reduce_input_bytes,
     }
 }
 
@@ -642,6 +737,38 @@ mod tests {
         let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(4, 10))
             .expect_err("tiny budget must trip fail-fast");
         assert!(matches!(err, ClusterError::WastedWorkExceeded { .. }));
+    }
+
+    #[test]
+    fn empty_splits_are_a_typed_error() {
+        let spec = JobSpec::emr("sort", 2);
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &[]).expect_err("no splits");
+        assert!(matches!(err, ClusterError::InvalidParameter { .. }));
+        assert!(err.to_string().contains("at least one split"), "{err}");
+    }
+
+    #[test]
+    fn more_splits_than_slots_are_a_typed_error() {
+        let spec = JobSpec::emr("sort", 2);
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(3, 10))
+            .expect_err("3 splits on 2 slots");
+        assert!(matches!(err, ClusterError::InvalidParameter { .. }));
+        assert!(err.to_string().contains("exceed"), "{err}");
+    }
+
+    #[test]
+    fn an_invalid_spec_is_a_typed_error() {
+        let mut spec = JobSpec::emr("sort", 2);
+        spec.scheduler.job_setup = -1.0;
+        let err = try_run_scale_out(&spec, &IdMap, &IdReduce, &splits(2, 10))
+            .expect_err("negative job setup");
+        assert!(matches!(
+            err,
+            ClusterError::InvalidParameter {
+                what: "job spec",
+                ..
+            }
+        ));
     }
 
     #[test]

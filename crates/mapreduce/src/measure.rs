@@ -5,7 +5,7 @@ use ipso_cluster::JobTrace;
 
 use crate::api::{Mapper, Reducer};
 use crate::config::JobSpec;
-use crate::engine::{run_scale_out, run_sequential};
+use crate::engine::{run_paired, run_scale_out, run_sequential};
 use crate::split::InputSplit;
 
 /// Builds the IPSO run decomposition from a paired sequential/scale-out
@@ -68,6 +68,15 @@ impl ScalingSweep {
     /// * `seq_splits(n)` — the task list of the sequential model (equal to
     ///   `par_splits(n)` for fixed-time workloads; a single whole-set
     ///   split for fixed-size ones, per the paper's Section IV).
+    ///
+    /// Both closures run once per point. When their splits are equal (the
+    /// fixed-time case) the records are mapped and reduced once and both
+    /// timing models charge the same volumes; otherwise each run executes
+    /// its own splits. The points are the same either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`run_scale_out`] and [`run_sequential`] do.
     pub fn run<M, R>(
         ns: &[u32],
         mapper: &M,
@@ -86,8 +95,20 @@ impl ScalingSweep {
         let mut points = Vec::with_capacity(ns.len());
         for &n in ns {
             let spec = make_spec(n);
-            let par = run_scale_out(&spec, mapper, reducer, &par_splits(n)).trace;
-            let mut seq = run_sequential(&spec, mapper, reducer, &seq_splits(n)).trace;
+            let par_input = par_splits(n);
+            let seq_input = seq_splits(n);
+            let (par, mut seq) = if seq_input == par_input {
+                // One split set from here on. Keeping the later-built
+                // copy lets the map wave reuse the memory the earlier one
+                // frees, so the point peaks no higher than two runs did.
+                drop(par_input);
+                run_paired(&spec, mapper, reducer, seq_input)
+            } else {
+                let par = run_scale_out(&spec, mapper, reducer, &par_input).trace;
+                drop(par_input);
+                let seq = run_sequential(&spec, mapper, reducer, &seq_input).trace;
+                (par, seq)
+            };
             // The sequential model's n is the sweep's n even when it runs
             // as a single task over the whole working set (fixed-size).
             seq.n = n;

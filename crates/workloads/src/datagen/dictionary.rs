@@ -5,6 +5,9 @@
 //! words."* We synthesize a deterministic 1000-word dictionary with a
 //! UNIX-`words`-like length distribution and draw text from it.
 
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
 use ipso_sim::SimRng;
 
 /// Number of words in the generated dictionary.
@@ -17,26 +20,30 @@ const SYLLABLES: &[&str] = &[
 
 /// The deterministic 1000-word dictionary. Words are distinct, lowercase
 /// and between 2 and 12 characters, resembling `/usr/share/dict/words`
-/// entries.
-pub fn unix_dictionary() -> Vec<String> {
-    let mut words = Vec::with_capacity(DICTIONARY_SIZE);
-    let mut i = 0usize;
-    while words.len() < DICTIONARY_SIZE {
-        // Compose 1–3 syllables deterministically from the index.
-        let s1 = SYLLABLES[i % SYLLABLES.len()];
-        let s2 = SYLLABLES[(i / SYLLABLES.len()) % SYLLABLES.len()];
-        let s3 = SYLLABLES[(i / (SYLLABLES.len() * SYLLABLES.len())) % SYLLABLES.len()];
-        let word = match i % 3 {
-            0 => s1.to_string(),
-            1 => format!("{s1}{s2}"),
-            _ => format!("{s1}{s2}{s3}"),
-        };
-        if !words.contains(&word) {
-            words.push(word);
+/// entries. Built on first use; every call returns the same slice.
+pub fn unix_dictionary() -> &'static [String] {
+    static DICTIONARY: OnceLock<Vec<String>> = OnceLock::new();
+    DICTIONARY.get_or_init(|| {
+        let mut words = Vec::with_capacity(DICTIONARY_SIZE);
+        let mut seen = HashSet::with_capacity(DICTIONARY_SIZE);
+        let mut i = 0usize;
+        while words.len() < DICTIONARY_SIZE {
+            // Compose 1–3 syllables deterministically from the index.
+            let s1 = SYLLABLES[i % SYLLABLES.len()];
+            let s2 = SYLLABLES[(i / SYLLABLES.len()) % SYLLABLES.len()];
+            let s3 = SYLLABLES[(i / (SYLLABLES.len() * SYLLABLES.len())) % SYLLABLES.len()];
+            let word = match i % 3 {
+                0 => s1.to_string(),
+                1 => format!("{s1}{s2}"),
+                _ => format!("{s1}{s2}{s3}"),
+            };
+            if seen.insert(word.clone()) {
+                words.push(word);
+            }
+            i += 1;
         }
-        i += 1;
-    }
-    words
+        words
+    })
 }
 
 /// Generates `lines` lines of `words_per_line` random dictionary words.
@@ -64,7 +71,7 @@ mod tests {
     fn dictionary_has_exactly_1000_distinct_words() {
         let d = unix_dictionary();
         assert_eq!(d.len(), DICTIONARY_SIZE);
-        let unique: std::collections::HashSet<&String> = d.iter().collect();
+        let unique: HashSet<&String> = d.iter().collect();
         assert_eq!(unique.len(), DICTIONARY_SIZE);
     }
 
@@ -82,8 +89,13 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_is_built_once() {
+        assert!(std::ptr::eq(unix_dictionary(), unix_dictionary()));
+    }
+
+    #[test]
     fn lines_draw_from_the_dictionary() {
-        let dict: std::collections::HashSet<String> = unix_dictionary().into_iter().collect();
+        let dict: HashSet<&str> = unix_dictionary().iter().map(String::as_str).collect();
         let mut rng = SimRng::seed_from(1);
         let lines = random_lines(50, 8, &mut rng);
         assert_eq!(lines.len(), 50);

@@ -31,6 +31,33 @@ pub fn van_der_corput(mut index: u64, base: u64) -> f64 {
     result
 }
 
+/// `van_der_corput(index, 2)`, bit for bit, for `index < 2^53`.
+///
+/// The base-2 radical inverse mirrors the index's bits about the binary
+/// point. Below 2^53 the mirrored value has at most 53 significant bits,
+/// so both the reference's digit sum and this conversion are exact.
+fn radical_inverse_2(index: u64) -> f64 {
+    /// 2^-64, exact.
+    const ULP: f64 = 1.0 / 18_446_744_073_709_551_616.0;
+    debug_assert!(index < 1 << 53);
+    index.reverse_bits() as f64 * ULP
+}
+
+/// `van_der_corput(index, 3)`, bit for bit: the same digit loop and
+/// float operations, with the base a constant so the divisions compile
+/// to multiplications.
+fn radical_inverse_3(mut index: u64) -> f64 {
+    const BASE: u64 = 3;
+    let mut result = 0.0;
+    let mut f = 1.0 / BASE as f64;
+    while index > 0 {
+        result += f * (index % BASE) as f64;
+        index /= BASE;
+        f /= BASE as f64;
+    }
+    result
+}
+
 /// One task's slice of the Halton sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QmcSlice {
@@ -53,8 +80,8 @@ impl Mapper for QmcMapper {
         let mut inside = 0u64;
         for i in slice.offset..slice.offset + slice.count {
             // 2D Halton: bases 2 and 3.
-            let x = van_der_corput(i + 1, 2);
-            let y = van_der_corput(i + 1, 3);
+            let x = radical_inverse_2(i + 1);
+            let y = radical_inverse_3(i + 1);
             if x * x + y * y <= 1.0 {
                 inside += 1;
             }
@@ -147,6 +174,26 @@ mod tests {
         // Base 3: 1 → 1/3, 2 → 2/3.
         assert!((van_der_corput(1, 3) - 1.0 / 3.0).abs() < 1e-12);
         assert!((van_der_corput(2, 3) - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// The fast kernels against the reference, over every index the
+    /// paper sweep evaluates and around 2^40 and 2^52.
+    #[test]
+    fn fast_radical_inverses_match_the_reference_bit_for_bit() {
+        let near = |p: u32| (1u64 << p) - 1000..(1u64 << p) + 1000;
+        let indices = (1..5_000_000).chain(near(40)).chain(near(52));
+        for i in indices {
+            assert_eq!(
+                radical_inverse_2(i).to_bits(),
+                van_der_corput(i, 2).to_bits(),
+                "base 2 at {i}"
+            );
+            assert_eq!(
+                radical_inverse_3(i).to_bits(),
+                van_der_corput(i, 3).to_bits(),
+                "base 3 at {i}"
+            );
+        }
     }
 
     #[test]

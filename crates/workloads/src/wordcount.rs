@@ -42,8 +42,8 @@ impl WordCountMapper {
     /// Builds the mapper, interning the generated dictionary.
     pub fn new() -> WordCountMapper {
         let dict = crate::datagen::unix_dictionary()
-            .into_iter()
-            .map(Arc::from)
+            .iter()
+            .map(|word| Arc::from(word.as_str()))
             .collect();
         WordCountMapper { dict }
     }
@@ -164,8 +164,8 @@ mod tests {
         let total: u64 = run.output.iter().map(|(_, c)| c).sum();
         assert_eq!(total, expected);
         // Every key is a dictionary word.
-        let dict: std::collections::HashSet<String> =
-            crate::datagen::unix_dictionary().into_iter().collect();
+        let dict: std::collections::HashSet<&String> =
+            crate::datagen::unix_dictionary().iter().collect();
         assert!(run.output.iter().all(|(w, _)| dict.contains(w)));
     }
 
